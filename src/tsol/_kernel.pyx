@@ -168,6 +168,8 @@ cdef void _fill(u64* rows, u64* cols, object py_rows, int n):
 
 
 cdef class _Exact:
+    """Mirror of tsol._pykernel._exact_solver, whose docstring proves the
+    top-cycle restriction sound and defines the counters."""
     cdef u64 rows[64]
     cdef u64 cols[64]
     cdef int n
@@ -185,24 +187,45 @@ cdef class _Exact:
 
     cdef u64 solve(self, u64 mask):
         cdef u64 ine[64]
-        cdef u64 m, sub, res
-        cdef int a
+        cdef u64 m, low_, top, tc, frontier, doms, res
+        cdef int a, k, best
         cdef unordered_map[u64, u64].iterator it
         self.calls += 1
+        best = -1
+        top = 0
+        m = mask
+        while m:
+            low_ = m & (0 - m)
+            a = tsol_ctz64(m)
+            m &= m - 1
+            k = tsol_pop64(self.cols[a] & mask)
+            if best < 0 or k < best:
+                best = k
+                top = low_
+        tc = top
+        frontier = top
+        while frontier:
+            a = tsol_ctz64(frontier)
+            frontier &= frontier - 1
+            doms = self.cols[a] & mask & ~tc
+            tc |= doms
+            frontier |= doms
         if self.use_cache:
-            it = self.memo.find(mask)
+            it = self.memo.find(tc)
             if it != self.memo.end():
                 return dereference(it).second
         self.computed += 1
-        m = mask
-        while m:
-            a = tsol_ctz64(m)
-            m &= m - 1
-            sub = self.cols[a] & mask
-            ine[a] = self.solve(sub) if sub else 0
-        res = _top_cycle(mask, ine, self.n)
+        if best == 0:
+            res = top  # a Condorcet winner: nothing to recurse into
+        else:
+            m = tc
+            while m:
+                a = tsol_ctz64(m)
+                m &= m - 1
+                ine[a] = self.solve(self.cols[a] & tc)  # nonempty: TC is strongly connected
+            res = _top_cycle(tc, ine, self.n)
         if self.use_cache:
-            self.memo[mask] = res
+            self.memo[tc] = res
         return res
 
 
@@ -219,6 +242,7 @@ def teq_exact_masks(py_rows, x_mask, use_cache=True):
     cdef u64 ine[64]
     cdef u64 m, sub
     cdef int a
+    # the carrier counts once in each counter and is not shrunk to its top cycle
     ctx.calls += 1
     ctx.computed += 1
     m = x
@@ -228,8 +252,6 @@ def teq_exact_masks(py_rows, x_mask, use_cache=True):
         sub = ctx.cols[a] & x
         ine[a] = ctx.solve(sub) if sub else 0
     cdef u64 teq = _top_cycle(x, ine, n)
-    if ctx.use_cache:
-        ctx.memo[x] = teq
     in_edges = [0] * n
     m = x
     while m:
@@ -239,50 +261,13 @@ def teq_exact_masks(py_rows, x_mask, use_cache=True):
     return int(teq), in_edges, int(ctx.calls), int(ctx.computed)
 
 
-cdef class _Heur:
-    cdef u64 rows[64]
-    cdef u64 cols[64]
-    cdef int n
+cdef class _Heur(_Exact):
+    """The heuristic's own recursion; ``solve`` is the inherited exact one."""
     cdef bint inner_exact
     cdef unordered_map[u64, u64] hmemo
-    cdef unordered_map[u64, u64] ememo
-    cdef long long calls
-    cdef long long computed
     cdef u64 top_base
     cdef u64 top_ine[64]
     cdef int top_iterations
-
-    cdef void setup(self, object py_rows, int n, bint inner_exact):
-        cdef int i
-        self.n = n
-        self.inner_exact = inner_exact
-        self.calls = 0
-        self.computed = 0
-        self.top_base = 0
-        self.top_iterations = 0
-        for i in range(n):
-            self.top_ine[i] = 0
-        _fill(self.rows, self.cols, py_rows, n)
-
-    cdef u64 solve_exact(self, u64 mask):
-        cdef u64 ine[64]
-        cdef u64 m, sub, res
-        cdef int a
-        cdef unordered_map[u64, u64].iterator it
-        self.calls += 1
-        it = self.ememo.find(mask)
-        if it != self.ememo.end():
-            return dereference(it).second
-        self.computed += 1
-        m = mask
-        while m:
-            a = tsol_ctz64(m)
-            m &= m - 1
-            sub = self.cols[a] & mask
-            ine[a] = self.solve_exact(sub) if sub else 0
-        res = _top_cycle(mask, ine, self.n)
-        self.ememo[mask] = res
-        return res
 
     cdef u64 proc(self, u64 mask, bint top):
         cdef u64 ine[64]
@@ -327,7 +312,7 @@ cdef class _Heur:
                 m &= m - 1
                 sub = self.cols[a] & mask
                 if sub:
-                    ta = self.solve_exact(sub) if self.inner_exact else self.proc(sub, False)
+                    ta = self.solve(sub) if self.inner_exact else self.proc(sub, False)
                 else:
                     ta = 0
                 ine[a] |= ta
@@ -362,7 +347,8 @@ def teq_heuristic_masks(py_rows, x_mask, inner_exact=False):
     if x_mask == 0:
         raise ValueError("empty carrier")
     cdef _Heur ctx = _Heur()
-    ctx.setup(py_rows, n, bool(inner_exact))
+    ctx.setup(py_rows, n, True)
+    ctx.inner_exact = bool(inner_exact)
     cdef u64 teq = ctx.proc(<u64> x_mask, True)
     in_edges = [0] * n
     cdef u64 m = <u64> x_mask

@@ -134,45 +134,91 @@ def scc_count_masks(carrier: int, in_edges) -> int:
 # --- tournament equilibrium set ----------------------------------------------
 
 
+def _exact_solver(cols: Sequence[int], stats: list[int], use_cache: bool = True):
+    """The exact TEQ recursion on proper subsets, as a closure over one memo.
+
+    ``solve(mask)`` first shrinks ``mask`` to its dominance top cycle TC and
+    evaluates TEQ(TC) instead, which is sound because TEQ(X) = TEQ(TC(X)):
+    members of TC(X) are beaten only from inside TC(X), so their TEQ
+    in-edges stay inside it; every a outside TC(X) has D(a) >= TC(X), and by
+    induction TEQ(D(a)) <= TC(D(a)) <= TC(X), so a has an in-edge from
+    TC(X) and lies in no source component.  (This also follows from
+    TEQ <= Banks <= TC, Schwartz 1990.)
+
+    TC needs no component search.  The alternative with the fewest
+    dominators in the mask (the most wins) lies in TC: an outsider beats
+    only outsiders, so it wins at most |X - TC| - 1 times, while every
+    member of TC beats all |X - TC| outsiders.  TC is then the closure of
+    that alternative under "add every dominator within the mask".
+
+    ``stats[0]`` counts entries (cache hits included) and ``stats[1]`` the
+    sets evaluated, that is the cache misses.  The memo is keyed by top
+    cycle; a singleton one (a Condorcet winner) goes through it like any
+    other, counts as evaluated, and is its own TEQ without recursion.
+    """
+    memo: dict[int, int] = {}
+
+    def solve(mask: int) -> int:
+        stats[0] += 1
+        best = -1
+        top = 0
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            k = (cols[low.bit_length() - 1] & mask).bit_count()
+            if best < 0 or k < best:
+                best = k
+                top = low
+        tc = frontier = top
+        while frontier:
+            a = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            doms = cols[a] & mask & ~tc
+            tc |= doms
+            frontier |= doms
+        if use_cache:
+            hit = memo.get(tc)
+            if hit is not None:
+                return hit
+        stats[1] += 1
+        if best == 0:
+            res = top  # a Condorcet winner: nothing to recurse into
+        else:
+            in_e: dict[int, int] = {}
+            m = tc
+            while m:
+                a = (m & -m).bit_length() - 1
+                m &= m - 1
+                in_e[a] = solve(cols[a] & tc)  # nonempty: TC is strongly connected
+            res = top_cycle_masks(tc, in_e)
+        if use_cache:
+            memo[tc] = res
+        return res
+
+    return solve
+
+
 def teq_exact_masks(
     rows: Sequence[int], x_mask: int, use_cache: bool = True
 ) -> tuple[int, list[int], int, int]:
     """Exact recursive TEQ on the carrier ``x_mask``.
 
     Returns ``(teq_mask, in_edges, calls, subsets)`` where ``in_edges[a]``
-    is the mask of TEQ-dominators of ``a`` within the carrier, ``calls``
-    counts solver entries on nonempty sets (cache hits included) and
-    ``subsets`` counts sets actually evaluated (cache misses).
+    is the mask of TEQ-dominators of ``a`` within the carrier.  Only nested
+    sets are shrunk to their top cycles (see ``_exact_solver``), so
+    ``in_edges`` covers the whole carrier.
+    ``calls`` counts solver entries on nonempty sets, cache hits included;
+    ``subsets`` counts sets evaluated: the carrier and each distinct top
+    cycle, singletons included.  Without the cache every entry is
+    evaluated, so the two are equal.
     """
     n = len(rows)
     if x_mask == 0:
         raise ValueError("empty carrier")
     cols = _transpose(rows, n)
-    memo: dict[int, int] = {}
-    stats = [0, 0]  # calls, computed
-
-    def solve(mask: int) -> int:
-        stats[0] += 1
-        if use_cache:
-            hit = memo.get(mask)
-            if hit is not None:
-                return hit
-        stats[1] += 1
-        in_e: dict[int, int] = {}
-        m = mask
-        while m:
-            a = (m & -m).bit_length() - 1
-            m &= m - 1
-            sub = cols[a] & mask
-            in_e[a] = solve(sub) if sub else 0
-        res = top_cycle_masks(mask, in_e)
-        if use_cache:
-            memo[mask] = res
-        return res
-
-    # top level inlined so the carrier's in-edges can be reported
-    stats[0] += 1
-    stats[1] += 1
+    stats = [1, 1]  # calls, subsets; the carrier counts once in each
+    solve = _exact_solver(cols, stats, use_cache)
     in_edges = [0] * n
     m = x_mask
     while m:
@@ -181,8 +227,6 @@ def teq_exact_masks(
         sub = cols[a] & x_mask
         in_edges[a] = solve(sub) if sub else 0
     teq = top_cycle_masks(x_mask, in_edges)
-    if use_cache:
-        memo[x_mask] = teq
     return teq, in_edges, stats[0], stats[1]
 
 
@@ -193,32 +237,17 @@ def teq_heuristic_masks(
 
     Returns ``(teq_mask, base_mask, in_edges, calls, subsets, iterations)``
     where ``base_mask`` is the explored base set and ``iterations`` the
-    outer loop count of the top-level procedure.
+    outer loop count of the top-level procedure.  With ``inner_exact`` the
+    nested evaluations run the exact recursion of ``teq_exact_masks``,
+    which adds to the same counters.
     """
     n = len(rows)
     if x_mask == 0:
         raise ValueError("empty carrier")
     cols = _transpose(rows, n)
     hmemo: dict[int, int] = {}
-    ememo: dict[int, int] = {}
     stats = [0, 0]  # calls, computed
-
-    def solve_exact(mask: int) -> int:
-        stats[0] += 1
-        hit = ememo.get(mask)
-        if hit is not None:
-            return hit
-        stats[1] += 1
-        in_e: dict[int, int] = {}
-        m = mask
-        while m:
-            a = (m & -m).bit_length() - 1
-            m &= m - 1
-            sub = cols[a] & mask
-            in_e[a] = solve_exact(sub) if sub else 0
-        res = top_cycle_masks(mask, in_e)
-        ememo[mask] = res
-        return res
+    solve_exact = _exact_solver(cols, stats)
 
     def proc(mask: int, capture: dict | None) -> int:
         stats[0] += 1
@@ -296,18 +325,11 @@ def _mask_iter(mask: int):
 # --- Banks set ----------------------------------------------------------------
 
 
-def banks_member_masks(
-    rows: Sequence[int], x_mask: int, a: int
+def _banks_chain(
+    rows: Sequence[int], cols: Sequence[int], x_mask: int, a: int
 ) -> tuple[int, ...] | None:
-    """Chain witness for Banks membership of ``a`` within the carrier.
-
-    Depth-first search over dominance-decreasing chains headed by ``a``;
-    succeeds on the first chain no outside alternative dominates entirely.
-    """
-    n = len(rows)
-    if not x_mask >> a & 1:
-        raise ValueError("queried alternative not in the carrier")
-    cols = _transpose(rows, n)
+    """Depth-first search over dominance-decreasing chains headed by ``a``;
+    succeeds on the first chain no outside alternative dominates entirely."""
     chain = [a]
 
     def dfs(pool: int, doms: int) -> bool:
@@ -333,15 +355,25 @@ def banks_member_masks(
     return None
 
 
+def banks_member_masks(
+    rows: Sequence[int], x_mask: int, a: int
+) -> tuple[int, ...] | None:
+    """Chain witness for Banks membership of ``a`` within the carrier."""
+    if not x_mask >> a & 1:
+        raise ValueError("queried alternative not in the carrier")
+    return _banks_chain(rows, _transpose(rows, len(rows)), x_mask, a)
+
+
 def banks_set_masks(rows: Sequence[int], x_mask: int) -> int:
     if x_mask == 0:
         raise ValueError("empty carrier")
+    cols = _transpose(rows, len(rows))
     res = 0
     m = x_mask
     while m:
         low = m & -m
         a = low.bit_length() - 1
         m &= m - 1
-        if banks_member_masks(rows, x_mask, a) is not None:
+        if _banks_chain(rows, cols, x_mask, a) is not None:
             res |= low
     return res

@@ -8,6 +8,7 @@ exceeded.  All set outputs are sorted by name and newline-terminated.
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 import time
@@ -370,8 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

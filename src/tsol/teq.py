@@ -2,8 +2,9 @@
 
 The TEQ relation on a carrier X holds b => a exactly when b is in the TEQ
 of a's dominator set within X; the TEQ of X is the top cycle of that
-relation.  The exact solver memoizes subsets by bit pattern within one
-call.  The heuristic explores outward from the alternatives with the
+relation.  The exact solver replaces every nested set by its dominance top
+cycle, which has the same TEQ, and memoizes those by bit pattern within
+one call.  The heuristic explores outward from the alternatives with the
 smallest dominator sets and, on every input seen so far, matches the exact
 set; equality is checked by sweeps, never assumed.
 """
@@ -20,7 +21,11 @@ from tsol.core import Relation, Tournament, set_of, subset_mask
 @dataclass(frozen=True)
 class TeqStats:
     """calls: solver entries on nonempty sets (cache hits included);
-    subsets: sets actually evaluated; iterations: outer loops (heuristic only)."""
+    subsets: sets actually evaluated (cache misses).  The exact recursion
+    shrinks every nested set to its dominance top cycle and memoizes on
+    that, so a subset is the carrier or a distinct top cycle, a singleton
+    one (a Condorcet winner) included; without the cache the two counts are
+    equal.  iterations: outer loops (heuristic only)."""
 
     calls: int
     subsets: int

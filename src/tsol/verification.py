@@ -41,7 +41,7 @@ from tsol.teq import teq_exact, teq_heuristic
 
 SAT_VARIABLE_CAP = 24
 CHOICE_CLAUSE_CAP = 16
-TEQ_EXACT_CLAUSE_CAP = 2  # 12m-7 <= 17 alternatives for the exact verifier
+TEQ_EXACT_CLAUSE_CAP = 8  # 12m-7 <= 89 alternatives for the exact verifier
 
 SWEEP_CHECKS = ("condorcet", "heuristic-eq", "nonempty", "single-scc", "teq-in-banks")
 

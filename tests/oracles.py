@@ -1,15 +1,16 @@
 """Independent brute-force oracles and formula generators for the tests.
 
 Everything here deliberately avoids the bitmask kernels: transitivity is
-checked triple by triple, subsets come from itertools, and maximality is
-checked by direct set inclusion, so these can referee the fast paths.
+checked triple by triple, subsets come from itertools, maximality is
+checked by direct set inclusion, and TEQ recurses over frozensets without
+pruning, so these can referee the fast paths.
 """
 
 from itertools import combinations, product
 from random import Random
 
 from tsol.core import Tournament
-from tsol.reductions import Cnf, Literal
+from tsol.reductions import Cnf, Literal, cnf
 
 
 def triple_is_cyclic(t: Tournament, x: int, y: int, z: int) -> bool:
@@ -42,6 +43,50 @@ def banks_oracle(t: Tournament, universe=None) -> frozenset[int]:
                 winners.add(a)
                 break
     return frozenset(winners)
+
+
+def source_components(x: frozenset[int], pairs: set[tuple[int, int]]) -> frozenset[int]:
+    """Union of the strongly connected components of (x, pairs) that no edge
+    enters from outside: a is kept iff a reaches everything that reaches it."""
+    preds: dict[int, set[int]] = {a: set() for a in x}
+    for b, a in pairs:
+        preds[a].add(b)
+    ancestors = {}
+    for a in x:
+        seen = set()
+        stack = [a]
+        while stack:
+            for b in preds[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        ancestors[a] = seen
+    return frozenset(a for a in x if all(a in ancestors[b] for b in ancestors[a]))
+
+
+def teq_oracle(t: Tournament) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
+    """TEQ by Schwartz's definition: no top-cycle restriction, no bitmasks.
+
+    b => a holds in X when b lies in the TEQ of a's dominators within X, and
+    TEQ(X) is the union of that relation's source components.  Every set is
+    evaluated once, memoized by frozenset.  Returns the TEQ of all of ``t``
+    and the pairs (b, a) of its relation.
+    """
+    memo: dict[frozenset[int], frozenset[int]] = {frozenset(): frozenset()}
+
+    def relation(x: frozenset[int]) -> set[tuple[int, int]]:
+        return {
+            (b, a) for a in x for b in teq(frozenset(d for d in x if t.dominates(d, a)))
+        }
+
+    def teq(x: frozenset[int]) -> frozenset[int]:
+        if x not in memo:
+            memo[x] = source_components(x, relation(x))
+        return memo[x]
+
+    x = frozenset(range(t.n))
+    pairs = relation(x)
+    return source_components(x, pairs), frozenset(pairs)
 
 
 FOUR_VARS = ("p", "q", "r", "s")
@@ -80,6 +125,16 @@ def unsat_eight_clauses() -> Cnf:
             tuple(Literal(v, s) for v, s in zip(("p", "q", "r"), signs))
             for signs in product((False, True), repeat=3)
         )
+    )
+
+
+def nine_clauses() -> Cnf:
+    """A satisfiable nine-clause formula: the smallest size above the exact
+    TEQ verification cap (101 gadget alternatives)."""
+    return cnf(
+        ("-p", "s", "q"), ("p", "s", "r"), ("p", "q", "-r"),
+        ("q", "r", "s"), ("-q", "r", "u"), ("p", "-s", "u"),
+        ("-r", "s", "-u"), ("q", "-s", "u"), ("-p", "-q", "-u"),
     )
 
 

@@ -24,7 +24,13 @@ from tsol.verification import (
     verify_teq_reduction,
 )
 
-from oracles import all_formulas_m2, banks_oracle, random_cnf, unsat_eight_clauses
+from oracles import (
+    all_formulas_m2,
+    banks_oracle,
+    nine_clauses,
+    random_cnf,
+    unsat_eight_clauses,
+)
 
 FIG_PAIRS = [("c", "a"), ("a", "b"), ("b", "c"), ("a", "d"), ("a", "e"), ("c", "e"), ("d", "e")]
 
@@ -100,15 +106,22 @@ def test_criterion_5_teq_reduction():
                 disagreements += 1
         assert disagreements == 0
 
-        # heuristic-only above the cap: satisfiable inputs must select d
+        # exact on seeded three-clause formulas
         fig = cnf(("-p", "s", "q"), ("p", "s", "r"), ("p", "q", "-r"))
         rng = Random(5)
         three_clause = [fig] + [random_cnf(rng, 3) for _ in range(10)]
         for f in three_clause:
             v = verify_teq_reduction(f)
-            assert v.verdict == "UNVERIFIED" and not v.exact
-            if v.sat:
-                assert v.member, "heuristic must select d on a satisfiable instance"
+            assert v.verdict == "AGREE" and v.exact
+
+        # exact on the canonical unsatisfiable eight-clause formula: d leaves TEQ
+        v = verify_teq_reduction(unsat_eight_clauses())
+        assert (v.sat, v.member, v.verdict, v.exact) == (False, False, "AGREE", True)
+
+        # heuristic-only above the cap: a satisfiable input must select d
+        v = verify_teq_reduction(nine_clauses())
+        assert v.verdict == "UNVERIFIED" and not v.exact
+        assert v.sat and v.member, "heuristic must select d on a satisfiable instance"
 
 
 def test_criterion_6_structural_validation(fig_cnf):

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tsol import cli
 from tsol.core import format_tournament, parse_tournament, random_tournament
+from tsol.reductions import format_dimacs
 from tsol.verification import SweepReport
+
+from oracles import nine_clauses
 
 
 @pytest.fixture
@@ -206,8 +214,16 @@ class TestVerify:
         assert code == 0
         assert out == "SAT=true MEMBER=true VERDICT=AGREE\n"
 
-    def test_teq_fig_unverified(self, capsys, fig_cnf_file):
+    def test_teq_fig_exact(self, capsys, fig_cnf_file):
         code, out, err = run(capsys, ["verify", "--input", fig_cnf_file, "--target", "teq"])
+        assert code == 0
+        assert out == "SAT=true MEMBER=true VERDICT=AGREE\n"
+        assert err == ""
+
+    def test_teq_nine_clauses_unverified(self, capsys, tmp_path):
+        f = tmp_path / "nine.cnf"
+        f.write_text(format_dimacs(nine_clauses()))
+        code, out, err = run(capsys, ["verify", "--input", str(f), "--target", "teq"])
         assert code == 0
         assert out == "SAT=true MEMBER=true VERDICT=UNVERIFIED\n"
         assert "unverified" in err
@@ -318,3 +334,31 @@ class TestBench:
             capsys, ["bench", "--sizes", "5", "--samples", "1", "--backends", "rust"]
         )
         assert code == 2
+
+
+class TestParserReuse:
+    def test_successive_calls_match_fresh_processes(self, capsys, fig1_file, fig_cnf_file):
+        # options given to one call must not leak into the next on the shared parser
+        argvs = [
+            ["solve", "--input", fig1_file, "--method", "teq-exact", "--member", "d"],
+            ["verify", "--input", fig_cnf_file, "--target", "banks"],
+            ["solve", "--input", fig1_file],
+            ["sweep", "--n", "3", "--random", "--samples", "2", "--seed", "1"],
+            ["sweep", "--n", "3", "--checks", "nonempty"],
+        ]
+        in_process = [run(capsys, argv)[:2] for argv in argvs]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        fresh = []
+        for argv in argvs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tsol.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            fresh.append((proc.returncode, proc.stdout))
+        assert in_process == fresh
+        assert in_process[0] == (0, "false\n")
+        assert in_process[2] == (0, "a b c\n")

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,10 @@ from tsol.core import (
     random_tournament,
     tournament_from_bits,
 )
+from tsol.reductions import Cnf, teq_gadget
 from tsol.teq import teq_exact, teq_heuristic, teq_member, teq_trace
+
+from oracles import all_clauses, random_cnf, teq_oracle
 
 
 def idx(t, *names):
@@ -131,6 +136,44 @@ class TestTeqHeuristic:
             assert b in res.teq_relation.carrier
             assert a in res.teq_relation.carrier
             assert fig1.dominates(b, a)
+
+
+def assert_matches_oracle(t):
+    res = teq_exact(t)
+    teq_set, pairs = teq_oracle(t)
+    assert res.teq_set == teq_set
+    assert res.teq_relation.pairs == pairs
+    assert res.teq_relation.carrier == frozenset(range(t.n))
+
+
+class TestTopCycleRestriction:
+    """The exact recursion shrinks nested sets to their top cycles; the
+    unpruned frozenset oracle referees it."""
+
+    def test_exhaustive_up_to_five(self):
+        for n in range(1, 6):
+            for t in enumerate_tournaments(n):
+                assert_matches_oracle(t)
+
+    def test_seeded_six(self):
+        rng = Random(6)
+        for _ in range(4000):
+            assert_matches_oracle(tournament_from_bits(6, rng.getrandbits(15)))
+
+    def test_one_clause_gadgets(self):
+        for clause in all_clauses():
+            assert_matches_oracle(teq_gadget(Cnf((clause,))).tournament)
+
+    @pytest.mark.parametrize("m, count", [(2, 20), (3, 6), (4, 1)])
+    def test_seeded_gadgets(self, m, count):
+        rng = Random(100 + m)
+        for _ in range(count):
+            assert_matches_oracle(teq_gadget(random_cnf(rng, m)).tournament)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_heuristic_equals_exact_on_gadgets(self, m):
+        t = teq_gadget(random_cnf(Random(200 + m), m)).tournament
+        assert teq_heuristic(t).teq_set == teq_exact(t).teq_set
 
 
 def top_cycle_of(res):

@@ -18,7 +18,7 @@ from tsol.verification import (
     verify_teq_reduction,
 )
 
-from oracles import evaluate, random_cnf, unsat_eight_clauses
+from oracles import evaluate, nine_clauses, random_cnf, unsat_eight_clauses
 
 
 class TestSatOracle:
@@ -104,8 +104,12 @@ class TestTeqReduction:
         v = verify_teq_reduction(cnf(("p", "q", "r"), ("-p", "-q", "s")))
         assert v.verdict == "AGREE" and v.exact
 
-    def test_three_clauses_unverified(self, fig_cnf):
+    def test_three_clauses_exact(self, fig_cnf):
         v = verify_teq_reduction(fig_cnf)
+        assert (v.sat, v.member, v.verdict, v.exact) == (True, True, "AGREE", True)
+
+    def test_nine_clauses_unverified(self):
+        v = verify_teq_reduction(nine_clauses())
         assert v.verdict == "UNVERIFIED"
         assert not v.exact
         assert v.sat and v.member
@@ -156,9 +160,10 @@ class TestProofTrace:
         with pytest.raises(ValueError, match="inconsistent"):
             check_proof_trace(f, choice_set(f, (0, 0)))
 
-    def test_rejects_above_cap(self, fig_cnf):
+    def test_rejects_above_cap(self):
+        f = nine_clauses()
         with pytest.raises(ValueError, match="capped"):
-            check_proof_trace(fig_cnf, choice_set(fig_cnf, (1, 1, 0)))
+            check_proof_trace(f, consistent_choice_set(f))
 
 
 class TestSweep:
