@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import statistics
 import sys
 import time
-from multiprocessing import get_context
 from pathlib import Path
 
 from tsol import _backend
@@ -161,6 +159,8 @@ def cmd_solve(args) -> int:
         return 2
     try:
         if args.time_budget_ms and args.time_budget_ms > 0:
+            from multiprocessing import get_context
+
             ctx = get_context("fork")
             parent, child = ctx.Pipe()
             proc = ctx.Process(target=_budget_child, args=(child, t, args))
@@ -252,6 +252,8 @@ def cmd_sweep(args) -> int:
 
 
 def _bench_rows(sizes, samples, seed, backends):
+    import statistics
+
     rows = []
     for n in sizes:
         ts = [random_tournament(n, seed + 7919 * n + i) for i in range(samples)]

@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import product
-from multiprocessing import get_context
 from typing import Iterable, Iterator, Sequence
 
 from tsol import _backend, _pykernel
@@ -98,12 +96,33 @@ def choice_literals(f: Cnf, c: ChoiceSet) -> tuple[Literal, ...]:
 
 
 def iter_consistent_choice_sets(f: Cnf) -> Iterator[ChoiceSet]:
+    """Every consistent choice set, in lexicographic pick order.
+
+    The order is that of ``itertools.product(range(3), repeat=f.m)`` with
+    the inconsistent picks left out.  The search runs depth first over the
+    clauses and tries positions 0, 1, 2 of each clause in turn.  A pick is
+    dropped at once when the complement of its literal is among the earlier
+    picks.  Consistency is a pairwise condition, so every extension of such
+    a prefix is inconsistent too: only consistent prefixes are extended, and
+    no consistent set is lost.  The worst case is still 3^m sets.
+    """
     if f.m > CHOICE_CLAUSE_CAP:
         raise ValueError(f"{f.m} clauses exceed the choice-set cap {CHOICE_CLAUSE_CAP}")
-    for picks in product(range(3), repeat=f.m):
-        c = choice_set(f, picks)
-        if c.consistent:
-            yield c
+    # literal ids: bit 2v for variable v, bit 2v+1 for its negation
+    pos = {name: i for i, name in enumerate(f.variables)}
+    ids = [tuple(2 * pos[l.variable] + l.negated for l in clause) for clause in f.clauses]
+    picks = [0] * f.m
+
+    def extend(i: int, taken: int) -> Iterator[ChoiceSet]:
+        if i == f.m:
+            yield ChoiceSet(tuple(picks), True)
+            return
+        for p, lit in enumerate(ids[i]):
+            if not taken >> (lit ^ 1) & 1:
+                picks[i] = p
+                yield from extend(i + 1, taken | 1 << lit)
+
+    yield from extend(0, 0)
 
 
 def consistent_choice_set(f: Cnf) -> ChoiceSet | None:
@@ -414,7 +433,7 @@ def _instance_failures(t: Tournament, checks: tuple[str, ...]) -> list[str]:
     if "teq-in-banks" in checks and teq_mask & ~banks_mask:
         failed.append("teq-in-banks")
     if "condorcet" in checks:
-        winner = next((a for a in range(t.n) if t.cols[a] & full == 0), None)
+        winner = next((a for a in range(t.n) if t.rows[a] | 1 << a == full), None)
         if winner is not None:
             want = 1 << winner
             if teq_mask != want or banks_mask != want:
@@ -493,6 +512,8 @@ def sweep(
     if workers == 1:
         partials = [_sweep_task(task) for task in tasks]
     else:
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(workers) as pool:
             partials = pool.map(_sweep_task, tasks)
     duration = time.perf_counter() - start

@@ -138,6 +138,23 @@ def nine_clauses() -> Cnf:
     )
 
 
+def choice_sets_oracle(f: Cnf) -> list[tuple[int, ...]]:
+    """Consistent choice sets by enumeration, in ``itertools.product`` order.
+
+    A pick tuple is kept when no two picked literals share a variable with
+    opposite signs; nothing is pruned.
+    """
+    out = []
+    for picks in product(range(3), repeat=f.m):
+        chosen = [f.clauses[i][p] for i, p in enumerate(picks)]
+        if not any(
+            a.variable == b.variable and a.negated != b.negated
+            for a, b in combinations(chosen, 2)
+        ):
+            out.append(picks)
+    return out
+
+
 def evaluate(f: Cnf, assignment: dict[str, bool]) -> bool:
     return all(
         any(assignment[l.variable] != l.negated for l in clause) for clause in f.clauses

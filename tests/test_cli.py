@@ -362,3 +362,15 @@ class TestParserReuse:
         assert in_process == fresh
         assert in_process[0] == (0, "false\n")
         assert in_process[2] == (0, "a b c\n")
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_multiprocessing(self):
+        # the pool and the budget child import it when they start
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, tsol.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")

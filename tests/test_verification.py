@@ -18,7 +18,14 @@ from tsol.verification import (
     verify_teq_reduction,
 )
 
-from oracles import evaluate, nine_clauses, random_cnf, unsat_eight_clauses
+from oracles import (
+    all_formulas_m2,
+    choice_sets_oracle,
+    evaluate,
+    nine_clauses,
+    random_cnf,
+    unsat_eight_clauses,
+)
 
 
 class TestSatOracle:
@@ -74,6 +81,37 @@ class TestChoiceSets:
         for _ in range(200):
             f = random_cnf(rng, rng.randint(1, 4))
             assert (sat_brute_force(f) is None) == (consistent_choice_set(f) is None)
+
+
+class TestPrunedChoiceSearch:
+    """The depth-first search against the unpruned ``product`` enumeration."""
+
+    def test_matches_oracle_on_all_two_clause_formulas(self):
+        for f in all_formulas_m2():
+            assert [c.picks for c in iter_consistent_choice_sets(f)] == choice_sets_oracle(f)
+
+    def test_matches_oracle_on_seeded_formulas(self):
+        rng = Random(20241)
+        for m in range(3, 7):
+            for _ in range(40):
+                f = random_cnf(rng, m)
+                got = list(iter_consistent_choice_sets(f))
+                assert all(c.consistent for c in got)
+                assert [c.picks for c in got] == choice_sets_oracle(f)
+
+    def test_sixteen_clause_satisfiable_formula(self):
+        # satisfiable, but its first consistent set lies deep in the 3^16 pick order
+        rng = Random(20240)
+        for m in (1, 2, 3, 4, 6, 8, 12):
+            random_cnf(rng, m)
+        f = random_cnf(rng, 16)
+        c = consistent_choice_set(f)
+        assert c is not None and c.consistent
+        assert choice_set(f, c.picks).consistent
+
+    def test_cap(self):
+        with pytest.raises(ValueError, match="choice-set cap"):
+            consistent_choice_set(random_cnf(Random(3), 17))
 
 
 class TestBanksReduction:
