@@ -1,8 +1,8 @@
 """Pure-Python kernels for the exponential subset recursions.
 
-Mirrors tsol._kernel bit for bit: same traversal orders, same statistics
-counting, so results and witnesses are identical across backends.  Masks
-are Python ints, so this backend has no alternative-count cap.
+Masks are Python ints, one per dominance row, so there is no cap on the
+number of alternatives.  Traversal orders are fixed, so results, witnesses
+and statistics are deterministic.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def scc_count_masks(carrier: int, in_edges) -> int:
 # --- tournament equilibrium set ----------------------------------------------
 
 
-def _exact_solver(cols: Sequence[int], stats: list[int], use_cache: bool = True):
+def _exact_solver(cols: Sequence[int], stats: list[int]):
     """The exact TEQ recursion on proper subsets, as a closure over one memo.
 
     ``solve(mask)`` first shrinks ``mask`` to its dominance top cycle TC and
@@ -177,10 +177,9 @@ def _exact_solver(cols: Sequence[int], stats: list[int], use_cache: bool = True)
             doms = cols[a] & mask & ~tc
             tc |= doms
             frontier |= doms
-        if use_cache:
-            hit = memo.get(tc)
-            if hit is not None:
-                return hit
+        hit = memo.get(tc)
+        if hit is not None:
+            return hit
         stats[1] += 1
         if best == 0:
             res = top  # a Condorcet winner: nothing to recurse into
@@ -192,16 +191,13 @@ def _exact_solver(cols: Sequence[int], stats: list[int], use_cache: bool = True)
                 m &= m - 1
                 in_e[a] = solve(cols[a] & tc)  # nonempty: TC is strongly connected
             res = top_cycle_masks(tc, in_e)
-        if use_cache:
-            memo[tc] = res
+        memo[tc] = res
         return res
 
     return solve
 
 
-def teq_exact_masks(
-    rows: Sequence[int], x_mask: int, use_cache: bool = True
-) -> tuple[int, list[int], int, int]:
+def teq_exact_masks(rows: Sequence[int], x_mask: int) -> tuple[int, list[int], int, int]:
     """Exact recursive TEQ on the carrier ``x_mask``.
 
     Returns ``(teq_mask, in_edges, calls, subsets)`` where ``in_edges[a]``
@@ -210,15 +206,14 @@ def teq_exact_masks(
     ``in_edges`` covers the whole carrier.
     ``calls`` counts solver entries on nonempty sets, cache hits included;
     ``subsets`` counts sets evaluated: the carrier and each distinct top
-    cycle, singletons included.  Without the cache every entry is
-    evaluated, so the two are equal.
+    cycle, singletons included.
     """
     n = len(rows)
     if x_mask == 0:
         raise ValueError("empty carrier")
     cols = _transpose(rows, n)
     stats = [1, 1]  # calls, subsets; the carrier counts once in each
-    solve = _exact_solver(cols, stats, use_cache)
+    solve = _exact_solver(cols, stats)
     in_edges = [0] * n
     m = x_mask
     while m:
@@ -231,15 +226,13 @@ def teq_exact_masks(
 
 
 def teq_heuristic_masks(
-    rows: Sequence[int], x_mask: int, inner_exact: bool = False
+    rows: Sequence[int], x_mask: int
 ) -> tuple[int, int, list[int], int, int, int]:
     """Iterative-deepening TEQ heuristic seeded with minimal dominator sets.
 
     Returns ``(teq_mask, base_mask, in_edges, calls, subsets, iterations)``
     where ``base_mask`` is the explored base set and ``iterations`` the
-    outer loop count of the top-level procedure.  With ``inner_exact`` the
-    nested evaluations run the exact recursion of ``teq_exact_masks``,
-    which adds to the same counters.
+    outer loop count of the top-level procedure.
     """
     n = len(rows)
     if x_mask == 0:
@@ -247,7 +240,6 @@ def teq_heuristic_masks(
     cols = _transpose(rows, n)
     hmemo: dict[int, int] = {}
     stats = [0, 0]  # calls, computed
-    solve_exact = _exact_solver(cols, stats)
 
     def proc(mask: int, capture: dict | None) -> int:
         stats[0] += 1
@@ -282,10 +274,7 @@ def teq_heuristic_masks(
                 a = (m & -m).bit_length() - 1
                 m &= m - 1
                 sub = cols[a] & mask
-                if sub:
-                    ta = solve_exact(sub) if inner_exact else proc(sub, None)
-                else:
-                    ta = 0
+                ta = proc(sub, None) if sub else 0
                 in_e[a] = in_e.get(a, 0) | ta
                 found |= ta
             if found & ~base == 0:

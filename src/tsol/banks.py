@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from tsol import _backend
+from tsol import _pykernel
 from tsol.core import Tournament, set_of, subset_mask
 
 
@@ -49,8 +49,7 @@ def banks_member(
     mask = t.full_mask if x is None else subset_mask(t, x)
     if not mask >> a & 1:
         raise ValueError(f"alternative {a} not in the queried subset")
-    kernel = _backend.kernel_for(t.n)
-    chain = kernel.banks_member_masks(t.rows, mask, a)
+    chain = _pykernel.banks_member_masks(t.rows, mask, a)
     return tuple(chain) if chain is not None else None
 
 
@@ -59,5 +58,4 @@ def banks_set(t: Tournament, x: Iterable[int] | None = None) -> frozenset[int]:
     mask = t.full_mask if x is None else subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
-    kernel = _backend.kernel_for(t.n)
-    return set_of(kernel.banks_set_masks(t.rows, mask))
+    return set_of(_pykernel.banks_set_masks(t.rows, mask))

@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from tsol import _backend
+from tsol import _pykernel
 from tsol.banks import banks_member, banks_set
 from tsol.core import (
     Tournament,
@@ -251,52 +251,41 @@ def cmd_sweep(args) -> int:
     return 1 if report.total_failures else 0
 
 
-def _bench_rows(sizes, samples, seed, backends):
+def _bench_rows(sizes, samples, seed):
     import statistics
 
     rows = []
     for n in sizes:
         ts = [random_tournament(n, seed + 7919 * n + i) for i in range(samples)]
-        for backend in backends:
-            kernel = _backend.kernel_for(n, backend)
-            for method in ("teq-exact", "teq-heuristic"):
-                millis = []
-                calls = []
-                for t in ts:
-                    t0 = time.perf_counter()
-                    if method == "teq-exact":
-                        out = kernel.teq_exact_masks(t.rows, t.full_mask, True)
-                        ncalls = out[2]
-                    else:
-                        out = kernel.teq_heuristic_masks(t.rows, t.full_mask, False)
-                        ncalls = out[3]
-                    millis.append((time.perf_counter() - t0) * 1000.0)
-                    calls.append(ncalls)
-                rows.append(
-                    (
-                        n,
-                        method,
-                        backend,
-                        statistics.mean(millis),
-                        statistics.median(millis),
-                        statistics.mean(calls),
-                        statistics.median(calls),
-                    )
+        for method in ("teq-exact", "teq-heuristic"):
+            millis = []
+            calls = []
+            for t in ts:
+                t0 = time.perf_counter()
+                if method == "teq-exact":
+                    ncalls = _pykernel.teq_exact_masks(t.rows, t.full_mask)[2]
+                else:
+                    ncalls = _pykernel.teq_heuristic_masks(t.rows, t.full_mask)[3]
+                millis.append((time.perf_counter() - t0) * 1000.0)
+                calls.append(ncalls)
+            rows.append(
+                (
+                    n,
+                    method,
+                    _pykernel.NAME,
+                    statistics.mean(millis),
+                    statistics.median(millis),
+                    statistics.mean(calls),
+                    statistics.median(calls),
                 )
+            )
     return rows
 
 
 def cmd_bench(args) -> int:
     try:
-        sizes = _parse_sizes(args.sizes)
-        backends = (
-            args.backends.split(",") if args.backends else [_backend.backend_name()]
-        )
-        for b in backends:
-            if b not in ("native", "python"):
-                raise ValueError(f"unknown backend {b!r}")
-        rows = _bench_rows(sizes, args.samples, args.seed, backends)
-    except (ValueError, RuntimeError) as exc:
+        rows = _bench_rows(_parse_sizes(args.sizes), args.samples, args.seed)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     header = ("size", "method", "backend", "mean_ms", "median_ms", "mean_calls", "median_calls")
@@ -366,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", required=True, help="e.g. 10..14 or 10,12,14")
     p_bench.add_argument("--samples", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_bench.add_argument("--backends", help="comma list of native,python (default: active)")
     p_bench.add_argument("--output", help="table file (default stdout)")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from tsol import _backend
+from tsol import _pykernel
 from tsol.core import Relation, Tournament, set_of, subset_mask
 
 
@@ -24,8 +24,8 @@ class TeqStats:
     subsets: sets actually evaluated (cache misses).  The exact recursion
     shrinks every nested set to its dominance top cycle and memoizes on
     that, so a subset is the carrier or a distinct top cycle, a singleton
-    one (a Condorcet winner) included; without the cache the two counts are
-    equal.  iterations: outer loops (heuristic only)."""
+    one (a Condorcet winner) included.  iterations: outer loops (heuristic
+    only)."""
 
     calls: int
     subsets: int
@@ -51,15 +51,12 @@ def _relation_from_in_edges(carrier_mask: int, in_edges: list[int]) -> Relation:
     return Relation(carrier, frozenset(pairs))
 
 
-def teq_exact(
-    t: Tournament, x: Iterable[int] | None = None, use_cache: bool = True
-) -> TeqResult:
+def teq_exact(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
     """Exact TEQ of the restriction of ``t`` to ``x``."""
     mask = t.full_mask if x is None else subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
-    kernel = _backend.kernel_for(t.n)
-    teq_mask, in_edges, calls, subsets = kernel.teq_exact_masks(t.rows, mask, use_cache)
+    teq_mask, in_edges, calls, subsets = _pykernel.teq_exact_masks(t.rows, mask)
     return TeqResult(
         teq_set=set_of(teq_mask),
         teq_relation=_relation_from_in_edges(mask, in_edges),
@@ -71,27 +68,21 @@ def teq_member(t: Tournament, x: Iterable[int] | None, a: int) -> bool:
     mask = t.full_mask if x is None else subset_mask(t, x)
     if not mask >> a & 1:
         raise ValueError(f"alternative {a} not in the queried subset")
-    kernel = _backend.kernel_for(t.n)
-    teq_mask, _, _, _ = kernel.teq_exact_masks(t.rows, mask, True)
+    teq_mask, _, _, _ = _pykernel.teq_exact_masks(t.rows, mask)
     return bool(teq_mask >> a & 1)
 
 
-def teq_heuristic(
-    t: Tournament, x: Iterable[int] | None = None, inner_exact: bool = False
-) -> TeqResult:
+def teq_heuristic(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
     """Minimal-dominator-set heuristic for TEQ.
 
     The returned relation's carrier is the explored base set, which can be
-    a proper subset of ``x``; its top cycle is the reported TEQ set.  With
-    ``inner_exact`` the nested TEQ evaluations use the exact solver while
-    the outer loop stays heuristic.
+    a proper subset of ``x``; its top cycle is the reported TEQ set.
     """
     mask = t.full_mask if x is None else subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
-    kernel = _backend.kernel_for(t.n)
     teq_mask, base_mask, in_edges, calls, subsets, iterations = (
-        kernel.teq_heuristic_masks(t.rows, mask, inner_exact)
+        _pykernel.teq_heuristic_masks(t.rows, mask)
     )
     return TeqResult(
         teq_set=set_of(teq_mask),
@@ -114,13 +105,11 @@ def teq_trace(
     mask = t.full_mask if x is None else subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
-    kernel = _backend.kernel_for(t.n)
-
     cache: dict[int, int] = {}
 
     def teq_of(m: int) -> int:
         if m not in cache:
-            cache[m] = kernel.teq_exact_masks(t.rows, m, True)[0]
+            cache[m] = _pykernel.teq_exact_masks(t.rows, m)[0]
         return cache[m]
 
     def fmt(m: int) -> str:

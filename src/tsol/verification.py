@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from tsol import _backend, _pykernel
+from tsol import _pykernel
 from tsol.banks import banks_member
 from tsol.core import (
     ENUMERATION_CAP,
@@ -421,12 +421,11 @@ def parse_sweep_report(text: str) -> SweepReport:
 
 
 def _instance_failures(t: Tournament, checks: tuple[str, ...]) -> list[str]:
-    kernel = _backend.kernel_for(t.n)
     full = t.full_mask
-    teq_mask, in_edges, _, _ = kernel.teq_exact_masks(t.rows, full, True)
+    teq_mask, in_edges, _, _ = _pykernel.teq_exact_masks(t.rows, full)
     banks_mask = None
     if "teq-in-banks" in checks or "condorcet" in checks:
-        banks_mask = kernel.banks_set_masks(t.rows, full)
+        banks_mask = _pykernel.banks_set_masks(t.rows, full)
     failed = []
     if "nonempty" in checks and teq_mask == 0:
         failed.append("nonempty")
@@ -439,7 +438,7 @@ def _instance_failures(t: Tournament, checks: tuple[str, ...]) -> list[str]:
             if teq_mask != want or banks_mask != want:
                 failed.append("condorcet")
     if "heuristic-eq" in checks:
-        h_mask = kernel.teq_heuristic_masks(t.rows, full, False)[0]
+        h_mask = _pykernel.teq_heuristic_masks(t.rows, full)[0]
         if h_mask != teq_mask:
             failed.append("heuristic-eq")
     if "single-scc" in checks:

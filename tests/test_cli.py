@@ -104,7 +104,7 @@ class TestSolve:
         assert code == 2
 
     def test_time_budget_exceeded(self, capsys, tmp_path):
-        # 80 alternatives always run on the pure kernel, far over this budget
+        # exact TEQ on 80 random alternatives runs far over this budget
         big = tmp_path / "big.txt"
         big.write_text(format_tournament(random_tournament(80, 1)))
         code, out, _ = run(
@@ -321,20 +321,6 @@ class TestBench:
         assert code == 0
         assert len(out.splitlines()) == 1 + 2 * 2
 
-    def test_python_backend_requestable(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["bench", "--sizes", "5", "--samples", "1", "--backends", "python"],
-        )
-        assert code == 0
-        assert "python" in out
-
-    def test_unknown_backend(self, capsys):
-        code, _, err = run(
-            capsys, ["bench", "--sizes", "5", "--samples", "1", "--backends", "rust"]
-        )
-        assert code == 2
-
 
 class TestParserReuse:
     def test_successive_calls_match_fresh_processes(self, capsys, fig1_file, fig_cnf_file):
@@ -365,12 +351,22 @@ class TestParserReuse:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_out_multiprocessing(self):
-        # the pool and the budget child import it when they start
+    @staticmethod
+    def fresh(code, **env_vars):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, tsol.cli; print('multiprocessing' in sys.modules)"
+        env.update(env_vars)
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
         )
-        assert (proc.returncode, proc.stdout) == (0, "False\n")
+        return proc.returncode, proc.stdout
+
+    def test_cli_import_leaves_out_multiprocessing(self):
+        # the pool and the budget child import it when they start
+        code = "import sys, tsol.cli; print('multiprocessing' in sys.modules)"
+        assert self.fresh(code) == (0, "False\n")
+
+    def test_backend_variable_is_ignored(self):
+        # there is one kernel, so no environment variable selects one
+        code = "import tsol; print(tsol.backend_name())"
+        assert self.fresh(code, TSOL_BACKEND="native") == (0, "python\n")

@@ -46,20 +46,9 @@ class TestTeqExact:
         with pytest.raises(ValueError):
             teq_exact(fig1, [])
 
-    def test_cache_toggle_identical(self):
-        for n in range(1, 5):
-            for t in enumerate_tournaments(n):
-                cached = teq_exact(t, use_cache=True)
-                plain = teq_exact(t, use_cache=False)
-                assert cached.teq_set == plain.teq_set
-                assert cached.teq_relation == plain.teq_relation
-
     def test_stats_shape(self, fig1):
-        cached = teq_exact(fig1)
-        plain = teq_exact(fig1, use_cache=False)
-        assert cached.stats.calls >= cached.stats.subsets >= 1
-        assert plain.stats.subsets == plain.stats.calls
-        assert plain.stats.calls >= cached.stats.calls
+        stats = teq_exact(fig1).stats
+        assert stats.calls >= stats.subsets >= 1
 
     @given(st.integers(1, 7), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
@@ -78,6 +67,11 @@ class TestTeqExact:
         res = teq_exact(fig1, sub)
         assert res.teq_set == sub  # 3-cycle
         assert res.teq_relation.carrier == sub
+
+    def test_more_alternatives_than_a_machine_word(self):
+        n = 70
+        t = tournament_from_bits(n, (1 << (n * (n - 1) // 2)) - 1)  # total order
+        assert teq_exact(t).teq_set == {0}
 
 
 class TestTeqMember:
@@ -107,14 +101,6 @@ class TestTeqHeuristic:
         for n in range(1, 6):
             for t in enumerate_tournaments(n):
                 assert teq_heuristic(t).teq_set == teq_exact(t).teq_set
-
-    def test_inner_exact_variant(self):
-        for t in enumerate_tournaments(4):
-            assert (
-                teq_heuristic(t, inner_exact=True).teq_set
-                == teq_heuristic(t).teq_set
-                == teq_exact(t).teq_set
-            )
 
     @given(st.integers(1, 10), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
