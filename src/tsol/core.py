@@ -109,9 +109,6 @@ class Tournament:
         except ValueError:
             raise ValueError(f"unknown alternative {name!r}") from None
 
-    def full_set(self) -> frozenset[int]:
-        return frozenset(range(self.n))
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -163,14 +160,6 @@ def dominators(t: Tournament, x: Iterable[int], a: int) -> frozenset[int]:
     if not mask >> a & 1:
         raise ValueError(f"alternative {a} not in the queried subset")
     return set_of(t.cols[a] & mask)
-
-
-def dominated(t: Tournament, x: Iterable[int], a: int) -> frozenset[int]:
-    """Alternatives within ``x`` that ``a`` beats."""
-    mask = subset_mask(t, x)
-    if not mask >> a & 1:
-        raise ValueError(f"alternative {a} not in the queried subset")
-    return set_of(t.rows[a] & mask)
 
 
 def condorcet_winner(t: Tournament, x: Iterable[int]) -> int | None:
@@ -359,8 +348,3 @@ def tournament_to_dot(t: Tournament) -> str:
             lines.append(f'  "{t.names[i]}" -> "{t.names[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def names_of(t: Tournament, indices: Iterable[int]) -> list[str]:
-    """Names for an index set, sorted by name."""
-    return sorted(t.names[i] for i in indices)

@@ -182,13 +182,6 @@ class GadgetLayout:
     levels: tuple[tuple[int, ...], ...]
     roles: tuple[str, ...]
 
-    def level_of(self, idx: int) -> int | None:
-        """1-based level of an alternative, or None for chain nodes."""
-        for i, members in enumerate(self.levels, start=1):
-            if idx in members:
-                return i
-        return None
-
     def literal_node(self, clause: int, k: int) -> int:
         return self.tournament.index(f"x{clause}_{k}")
 

@@ -3,16 +3,20 @@
 The TEQ relation on a carrier X holds b => a exactly when b is in the TEQ
 of a's dominator set within X; the TEQ of X is the top cycle of that
 relation.  The exact solver replaces every nested set by its dominance top
-cycle, which has the same TEQ, and memoizes those by bit pattern within
-one call.  The heuristic explores outward from the alternatives with the
-smallest dominator sets and, on every input seen so far, matches the exact
-set; equality is checked by sweeps, never assumed.
+cycle, which has the same TEQ, and memoizes those by bit pattern.
+``teq_exact`` starts a fresh memo on every call.  ``teq_member``,
+``teq_trace`` and the gadget checks in ``tsol.verification`` ask about
+many sets of one tournament and share one memo among them: the TEQ of a
+set depends only on the set, so a memo keyed by top cycle stays valid for
+every query on that tournament.  The heuristic explores outward from the
+alternatives with the smallest dominator sets and, on every input seen so
+far, matches the exact set; equality is checked by sweeps, never assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from tsol import _pykernel
 from tsol.core import Relation, Tournament, set_of, subset_mask
@@ -64,12 +68,21 @@ def teq_exact(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
     )
 
 
+def teq_solver(t: Tournament) -> Callable[[int], int]:
+    """Mask -> TEQ mask on ``t`` (the empty mask gives 0), with one memo
+    that lives as long as the returned function.
+
+    On masks, b => a holds within X iff a is in X and b is in
+    ``teq_of(t.cols[a] & X)``.
+    """
+    return _pykernel._exact_solver(t.cols, [0, 0])
+
+
 def teq_member(t: Tournament, x: Iterable[int] | None, a: int) -> bool:
     mask = t.full_mask if x is None else subset_mask(t, x)
     if not mask >> a & 1:
         raise ValueError(f"alternative {a} not in the queried subset")
-    teq_mask, _, _, _ = _pykernel.teq_exact_masks(t.rows, mask)
-    return bool(teq_mask >> a & 1)
+    return bool(teq_solver(t)(mask) >> a & 1)
 
 
 def teq_heuristic(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
@@ -105,12 +118,7 @@ def teq_trace(
     mask = t.full_mask if x is None else subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
-    cache: dict[int, int] = {}
-
-    def teq_of(m: int) -> int:
-        if m not in cache:
-            cache[m] = _pykernel.teq_exact_masks(t.rows, m)[0]
-        return cache[m]
+    teq_of = teq_solver(t)
 
     def fmt(m: int) -> str:
         return "{" + " ".join(sorted(t.names[i] for i in set_of(m))) + "}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from tsol import _pykernel
 from tsol.banks import banks_member
@@ -30,12 +30,11 @@ from tsol.core import (
 from tsol.reductions import (
     Cnf,
     GadgetLayout,
-    Literal,
     banks_gadget,
     decision_node,
     teq_gadget,
 )
-from tsol.teq import teq_exact, teq_heuristic
+from tsol.teq import teq_exact, teq_heuristic, teq_solver
 
 SAT_VARIABLE_CAP = 24
 CHOICE_CLAUSE_CAP = 16
@@ -89,10 +88,6 @@ def choice_set(f: Cnf, picks: Sequence[int]) -> ChoiceSet:
         a == b.complement() for i, a in enumerate(chosen) for b in chosen[i + 1 :]
     )
     return ChoiceSet(tuple(picks), consistent)
-
-
-def choice_literals(f: Cnf, c: ChoiceSet) -> tuple[Literal, ...]:
-    return tuple(f.clauses[i][p] for i, p in enumerate(c.picks))
 
 
 def iter_consistent_choice_sets(f: Cnf) -> Iterator[ChoiceSet]:
@@ -203,28 +198,28 @@ def check_chain_reachability(layout: GadgetLayout, b: Iterable[int]) -> Reachabi
     ``b`` must contain the decision node.
     """
     t = layout.tournament
-    mask = subset_mask(t, b)
-    d = decision_node(layout)
-    if not mask >> d & 1:
+    return _chain_reachability(layout, subset_mask(t, b), teq_solver(t))
+
+
+def _chain_reachability(
+    layout: GadgetLayout, mask: int, teq_of: Callable[[int], int]
+) -> ReachabilityResult:
+    t = layout.tournament
+    if not mask >> decision_node(layout) & 1:
         raise ValueError("subset must contain the decision node")
-    rel = teq_exact(t, set_of(mask)).teq_relation
-    out: dict[int, set[int]] = {}
-    for x, y in rel.pairs:
-        out.setdefault(x, set()).add(y)
-    chain_in_b = [c for c in layout.chain if mask >> c & 1]
-    reached = set(chain_in_b)
-    frontier = list(chain_in_b)
-    while frontier:
-        x = frontier.pop()
-        for y in out.get(x, ()):
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    chain_set = set(layout.chain)
-    missing = [
-        t.names[u] for u in sorted(set_of(mask)) if u not in chain_set and u not in reached
-    ]
-    return ReachabilityResult(ok=not missing, violations=tuple(missing))
+    # a is reached once a TEQ-dominator of a within the mask is reached
+    in_edges = [(1 << a, teq_of(t.cols[a] & mask)) for a in set_of(mask)]
+    chain = subset_mask(t, layout.chain)
+    reached = grown = chain & mask
+    while True:
+        for bit, e in in_edges:
+            if e & grown:
+                grown |= bit
+        if grown == reached:
+            break
+        reached = grown
+    missing = tuple(t.names[u] for u in sorted(set_of(mask & ~chain & ~reached)))
+    return ReachabilityResult(ok=not missing, violations=missing)
 
 
 def sample_chain_reachability(
@@ -237,12 +232,13 @@ def sample_chain_reachability(
     """
     t = layout.tournament
     d = decision_node(layout)
+    teq_of = teq_solver(t)
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
         b = {i for i in range(t.n) if rng.getrandbits(1)}
         b.add(d)
-        res = check_chain_reachability(layout, b)
+        res = _chain_reachability(layout, subset_mask(t, b), teq_of)
         if not res.ok:
             failures.append((frozenset(b), res))
     return samples, failures
@@ -307,23 +303,32 @@ def check_proof_trace(f: Cnf, w: ChoiceSet) -> ProofTraceResult:
             if bool(tower[i] >> layout.chain[j] & 1) != (j < i):
                 failures.append(f"chain node c{j} wrong in tower {i}")
 
-    results = {k: teq_exact(t, set_of(tower[k])) for k in range(1, n + 2)}
+    empty = [k for k in range(1, n + 2) if not tower[k]]
+    if empty:
+        # the tower nests, so every level below an empty one is empty too
+        failures.append(f"tower level {empty[-1]} is empty")
+        return ProofTraceResult(ok=False, levels=n + 1, failures=tuple(failures))
 
     if condorcet_winner(t, set_of(tower[1])) != d:
         failures.append("decision node is not the winner of the innermost level")
 
+    teq_of = teq_solver(t)
+
+    def step(b: int, a: int, x: int) -> bool:
+        """b => a in the TEQ relation on the mask x."""
+        return bool(x >> a & 1 and teq_of(t.cols[a] & x) >> b & 1)
+
     for i in range(1, n + 1):
-        rel = results[i + 1].teq_relation
         for j in range(0, i):
-            if (layout.chain[i], layout.chain[j]) not in rel.pairs:
+            if not step(layout.chain[i], layout.chain[j], tower[i + 1]):
                 failures.append(f"step relation misses c{i} => c{j} at level {i + 1}")
-        if (u[i], layout.chain[i]) not in rel.pairs:
+        if not step(u[i], layout.chain[i], tower[i + 1]):
             failures.append(
                 f"step relation misses {t.names[u[i]]} => c{i} at level {i + 1}"
             )
 
     for k in range(1, n + 2):
-        if d not in results[k].teq_set:
+        if not teq_of(tower[k]) >> d & 1:
             failures.append(f"decision node leaves the TEQ at tower level {k}")
 
     return ProofTraceResult(ok=not failures, levels=n + 1, failures=tuple(failures))

@@ -6,11 +6,12 @@ checked by direct set inclusion, and TEQ recurses over frozensets without
 pruning, so these can referee the fast paths.
 """
 
+import dataclasses
 from itertools import combinations, product
 from random import Random
 
-from tsol.core import Tournament
-from tsol.reductions import Cnf, Literal, cnf
+from tsol.core import Tournament, restrict
+from tsol.reductions import Cnf, GadgetLayout, Literal, cnf
 
 
 def triple_is_cyclic(t: Tournament, x: int, y: int, z: int) -> bool:
@@ -87,6 +88,39 @@ def teq_oracle(t: Tournament) -> tuple[frozenset[int], frozenset[tuple[int, int]
     x = frozenset(range(t.n))
     pairs = relation(x)
     return source_components(x, pairs), frozenset(pairs)
+
+
+def reachability_oracle(layout: GadgetLayout, b) -> tuple[str, ...]:
+    """Names of the non-chain members of ``b``, in index order, that no path
+    of TEQ-relation edges within ``b`` reaches from a chain node in ``b``.
+
+    The relation comes from ``teq_oracle`` on ``restrict(t, b)``; the
+    search is a plain set BFS.
+    """
+    t = layout.tournament
+    keep = sorted(set(b))
+    _, pairs = teq_oracle(restrict(t, keep))
+    succ: dict[int, set[int]] = {}
+    for x, y in pairs:
+        succ.setdefault(keep[x], set()).add(keep[y])
+    reached = {c for c in layout.chain if c in keep}
+    frontier = list(reached)
+    while frontier:
+        for y in succ.get(frontier.pop(), ()):
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return tuple(t.names[u] for u in keep if u not in layout.chain and u not in reached)
+
+
+def flip_edges(layout: GadgetLayout, pairs) -> GadgetLayout:
+    """The layout with the dominance of each (index, index) pair reversed."""
+    rows = list(layout.tournament.rows)
+    for a, b in pairs:
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+    t = Tournament(layout.tournament.names, tuple(rows))
+    return dataclasses.replace(layout, tournament=t)
 
 
 FOUR_VARS = ("p", "q", "r", "s")

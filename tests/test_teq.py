@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsol import _pykernel
 from tsol.banks import banks_set
 from tsol.core import (
     condorcet_winner,
@@ -12,7 +13,7 @@ from tsol.core import (
     tournament_from_bits,
 )
 from tsol.reductions import Cnf, teq_gadget
-from tsol.teq import teq_exact, teq_heuristic, teq_member, teq_trace
+from tsol.teq import teq_exact, teq_heuristic, teq_member, teq_solver, teq_trace
 
 from oracles import all_clauses, random_cnf, teq_oracle
 
@@ -173,6 +174,23 @@ class TestInclusionInBanks:
         for n in range(1, 6):
             for t in enumerate_tournaments(n):
                 assert teq_exact(t).teq_set <= banks_set(t)
+
+
+class TestSharedSolver:
+    def test_matches_single_shot_on_every_subset(self, fig1):
+        teq_of = teq_solver(fig1)
+        assert teq_of(0) == 0
+        for mask in range(1, 1 << fig1.n):
+            want = teq_exact(fig1, [i for i in range(fig1.n) if mask >> i & 1]).teq_set
+            assert {i for i in range(fig1.n) if teq_of(mask) >> i & 1} == want
+
+    def test_matches_single_shot_on_gadget_subsets(self):
+        t = teq_gadget(random_cnf(Random(5), 3)).tournament
+        teq_of = teq_solver(t)
+        rng = Random(11)
+        for _ in range(40):
+            mask = rng.getrandbits(t.n) or 1
+            assert teq_of(mask) == _pykernel.teq_exact_masks(t.rows, mask)[0]
 
 
 class TestTrace:

@@ -2,7 +2,8 @@ from random import Random
 
 import pytest
 
-from tsol.reductions import Cnf, Literal, cnf, teq_gadget
+import tsol.verification
+from tsol.reductions import Cnf, Literal, cnf, decision_node, teq_gadget
 from tsol.verification import (
     SweepReport,
     check_chain_reachability,
@@ -22,8 +23,10 @@ from oracles import (
     all_formulas_m2,
     choice_sets_oracle,
     evaluate,
+    flip_edges,
     nine_clauses,
     random_cnf,
+    reachability_oracle,
     unsat_eight_clauses,
 )
 
@@ -174,6 +177,34 @@ class TestChainReachability:
         with pytest.raises(ValueError, match="decision"):
             check_chain_reachability(layout, [1, 2])
 
+    def test_flipped_gadgets_match_oracle(self):
+        """On gadgets with two reversed edges, single checks and seeded
+        samples report exactly the oracle's unreached elements."""
+        rng = Random(7)
+        failing = 0
+        for _ in range(40):
+            layout = teq_gadget(random_cnf(rng, rng.choice((1, 2))))
+            n = layout.tournament.n
+            # one edge between a chain node and a level element, one anywhere
+            level = rng.choice([a for a in range(n) if a not in layout.chain])
+            flips = [(rng.choice(layout.chain), level), rng.sample(range(n), 2)]
+            layout = flip_edges(layout, flips)
+            d = decision_node(layout)
+            seed = rng.getrandbits(32)
+            subsets = Random(seed)
+            expected = []
+            for _ in range(10):
+                b = {i for i in range(n) if subsets.getrandbits(1)} | {d}
+                want = reachability_oracle(layout, b)
+                assert check_chain_reachability(layout, b).violations == want
+                if want:
+                    expected.append((frozenset(b), want))
+            _, failures = sample_chain_reachability(layout, 10, seed)
+            assert [(b, res.violations) for b, res in failures] == expected
+            assert all(not res.ok for _, res in failures)
+            failing += len(expected)
+        assert failing >= 20
+
 
 class TestProofTrace:
     def test_m1_each_pick(self):
@@ -202,6 +233,29 @@ class TestProofTrace:
         f = nine_clauses()
         with pytest.raises(ValueError, match="capped"):
             check_proof_trace(f, consistent_choice_set(f))
+
+    @staticmethod
+    def flipped_trace(monkeypatch, x, y):
+        f = cnf(("p", "q", "r"), ("-p", "-q", "s"))
+        layout = teq_gadget(f)
+        t = layout.tournament
+        bad = flip_edges(layout, [(t.index(x), t.index(y))])
+        monkeypatch.setattr(tsol.verification, "teq_gadget", lambda _: bad)
+        return check_proof_trace(f, choice_set(f, (0, 1)))
+
+    def test_reports_broken_step(self, monkeypatch):
+        res = self.flipped_trace(monkeypatch, "c1", "y1")
+        assert not res.ok and res.levels == 6
+        assert res.failures == (
+            "chain node c1 wrong in tower 2",
+            "step relation misses c1 => c0 at level 2",
+            "step relation misses x1_1 => c1 at level 2",
+        )
+
+    def test_reports_empty_level(self, monkeypatch):
+        res = self.flipped_trace(monkeypatch, "d", "x1_1")
+        assert not res.ok and res.levels == 6
+        assert res.failures == ("chain node c0 wrong in tower 1", "tower level 1 is empty")
 
 
 class TestSweep:
