@@ -1,8 +1,12 @@
 """Pure-Python kernels for the exponential subset recursions.
 
-Masks are Python ints, one per dominance row, so there is no cap on the
-number of alternatives.  Traversal orders are fixed, so results, witnesses
-and statistics are deterministic.
+Masks are Python ints, so there is no cap on the number of alternatives.
+Entry points take the tournament as the masks they read and never derive
+one from the other: ``rows[a]`` has bit ``b`` set iff a beats b, and
+``cols[a]`` has bit ``b`` set iff b beats a (``Tournament.rows`` and
+``Tournament.cols``).  The TEQ kernels read only ``cols``; the Banks
+kernels read both.  Traversal orders are fixed, so results, witnesses and
+statistics are deterministic.
 """
 
 from __future__ import annotations
@@ -10,17 +14,6 @@ from __future__ import annotations
 from typing import Sequence
 
 NAME = "python"
-
-
-def _transpose(rows: Sequence[int], n: int) -> list[int]:
-    cols = [0] * n
-    for b in range(n):
-        m = rows[b]
-        while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= 1 << b
-            m &= m - 1
-    return cols
 
 
 def _tarjan(carrier: int, out: dict[int, int]) -> tuple[dict[int, int], int]:
@@ -197,8 +190,8 @@ def _exact_solver(cols: Sequence[int], stats: list[int]):
     return solve
 
 
-def teq_exact_masks(rows: Sequence[int], x_mask: int) -> tuple[int, list[int], int, int]:
-    """Exact recursive TEQ on the carrier ``x_mask``.
+def teq_exact_masks(cols: Sequence[int], x_mask: int) -> tuple[int, list[int], int, int]:
+    """Exact recursive TEQ on the carrier ``x_mask``, given the column masks.
 
     Returns ``(teq_mask, in_edges, calls, subsets)`` where ``in_edges[a]``
     is the mask of TEQ-dominators of ``a`` within the carrier.  Only nested
@@ -208,10 +201,9 @@ def teq_exact_masks(rows: Sequence[int], x_mask: int) -> tuple[int, list[int], i
     ``subsets`` counts sets evaluated: the carrier and each distinct top
     cycle, singletons included.
     """
-    n = len(rows)
+    n = len(cols)
     if x_mask == 0:
         raise ValueError("empty carrier")
-    cols = _transpose(rows, n)
     stats = [1, 1]  # calls, subsets; the carrier counts once in each
     solve = _exact_solver(cols, stats)
     in_edges = [0] * n
@@ -226,18 +218,18 @@ def teq_exact_masks(rows: Sequence[int], x_mask: int) -> tuple[int, list[int], i
 
 
 def teq_heuristic_masks(
-    rows: Sequence[int], x_mask: int
+    cols: Sequence[int], x_mask: int
 ) -> tuple[int, int, list[int], int, int, int]:
-    """Iterative-deepening TEQ heuristic seeded with minimal dominator sets.
+    """Iterative-deepening TEQ heuristic seeded with minimal dominator sets,
+    given the column masks.
 
     Returns ``(teq_mask, base_mask, in_edges, calls, subsets, iterations)``
     where ``base_mask`` is the explored base set and ``iterations`` the
     outer loop count of the top-level procedure.
     """
-    n = len(rows)
+    n = len(cols)
     if x_mask == 0:
         raise ValueError("empty carrier")
-    cols = _transpose(rows, n)
     hmemo: dict[int, int] = {}
     stats = [0, 0]  # calls, computed
 
@@ -345,18 +337,19 @@ def _banks_chain(
 
 
 def banks_member_masks(
-    rows: Sequence[int], x_mask: int, a: int
+    rows: Sequence[int], cols: Sequence[int], x_mask: int, a: int
 ) -> tuple[int, ...] | None:
-    """Chain witness for Banks membership of ``a`` within the carrier."""
+    """Chain witness for Banks membership of ``a`` within the carrier,
+    given the row and column masks."""
     if not x_mask >> a & 1:
         raise ValueError("queried alternative not in the carrier")
-    return _banks_chain(rows, _transpose(rows, len(rows)), x_mask, a)
+    return _banks_chain(rows, cols, x_mask, a)
 
 
-def banks_set_masks(rows: Sequence[int], x_mask: int) -> int:
+def banks_set_masks(rows: Sequence[int], cols: Sequence[int], x_mask: int) -> int:
+    """Banks set of the carrier, given the row and column masks."""
     if x_mask == 0:
         raise ValueError("empty carrier")
-    cols = _transpose(rows, len(rows))
     res = 0
     m = x_mask
     while m:

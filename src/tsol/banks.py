@@ -49,7 +49,7 @@ def banks_member(
     mask = t.full_mask if x is None else subset_mask(t, x)
     if not mask >> a & 1:
         raise ValueError(f"alternative {a} not in the queried subset")
-    chain = _pykernel.banks_member_masks(t.rows, mask, a)
+    chain = _pykernel.banks_member_masks(t.rows, t.cols, mask, a)
     return tuple(chain) if chain is not None else None
 
 
@@ -58,4 +58,4 @@ def banks_set(t: Tournament, x: Iterable[int] | None = None) -> frozenset[int]:
     mask = t.full_mask if x is None else subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
-    return set_of(_pykernel.banks_set_masks(t.rows, mask))
+    return set_of(_pykernel.banks_set_masks(t.rows, t.cols, mask))

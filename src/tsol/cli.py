@@ -1,8 +1,9 @@
 """Command-line surface: solve, reduce, verify, sweep, and bench.
 
 Exit codes: 0 success (including UNVERIFIED verdicts, which warn), 1 a
-DISAGREE verdict or sweep counterexamples, 2 input errors, 3 time budget
-exceeded.  All set outputs are sorted by name and newline-terminated.
+DISAGREE verdict or sweep counterexamples, 2 input errors and unreadable
+or unwritable paths, 3 time budget exceeded.  All set outputs are sorted
+by name and newline-terminated.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from tsol import _pykernel
 from tsol.banks import banks_member, banks_set
 from tsol.core import (
     Tournament,
-    dominance_relation,
     format_tournament,
     parse_tournament,
     random_tournament,
-    top_cycle,
+    set_of,
 )
 from tsol.reductions import (
     banks_gadget,
@@ -104,7 +104,7 @@ def _relation_path(t: Tournament, relation, members: frozenset[int], a: int) -> 
     return "path: " + " => ".join(t.names[i] for i in path)
 
 
-def _solve_text(t: Tournament, args) -> tuple[str, int]:
+def _solve_text(t: Tournament, args) -> str:
     method = args.method
     out: list[str] = []
     if args.member is not None:
@@ -121,83 +121,69 @@ def _solve_text(t: Tournament, args) -> tuple[str, int]:
             if member:
                 out.append(_relation_path(t, res.teq_relation, res.teq_set, a) + "\n")
         else:
-            tc = top_cycle(dominance_relation(t))
-            out.append("true\n" if a in tc else "false\n")
-        return "".join(out), 0
-
-    if method == "banks":
-        chosen = banks_set(t)
-    elif method == "teq-exact":
-        chosen = teq_exact(t).teq_set
-    elif method == "teq-heuristic":
-        chosen = teq_heuristic(t).teq_set
+            tc = _pykernel.top_cycle_masks(t.full_mask, t.cols)
+            out.append("true\n" if tc >> a & 1 else "false\n")
     else:
-        chosen = top_cycle(dominance_relation(t))
-    out.append(_solution_line(t, chosen))
+        if method == "banks":
+            chosen = banks_set(t)
+        elif method == "teq-exact":
+            chosen = teq_exact(t).teq_set
+        elif method == "teq-heuristic":
+            chosen = teq_heuristic(t).teq_set
+        else:
+            chosen = set_of(_pykernel.top_cycle_masks(t.full_mask, t.cols))
+        out.append(_solution_line(t, chosen))
     if args.trace is not None:
-        if method not in ("teq-exact", "teq-heuristic"):
-            raise ValueError("--trace requires a teq method")
         out.append(teq_trace(t, depth_limit=args.trace))
-    return "".join(out), 0
+    return "".join(out)
 
 
 def _budget_child(conn, t: Tournament, args) -> None:
     try:
-        text, code = _solve_text(t, args)
-        conn.send((text, code))
+        conn.send((True, _solve_text(t, args)))
     except ValueError as exc:
-        conn.send(("error", str(exc)))
+        conn.send((False, str(exc)))
     finally:
         conn.close()
 
 
 def cmd_solve(args) -> int:
-    try:
-        t = parse_tournament(Path(args.input).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.time_budget_ms and args.time_budget_ms > 0:
-            from multiprocessing import get_context
+    if args.trace is not None:
+        if args.method not in ("teq-exact", "teq-heuristic"):
+            raise ValueError("--trace requires a teq method")
+        if args.trace < 0:
+            raise ValueError("--trace depth must be nonnegative")
+    t = parse_tournament(Path(args.input).read_text())
+    if args.time_budget_ms and args.time_budget_ms > 0:
+        from multiprocessing import get_context
 
-            ctx = get_context("fork")
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(target=_budget_child, args=(child, t, args))
-            start = time.perf_counter()
-            proc.start()
-            child.close()
-            if parent.poll(args.time_budget_ms / 1000.0):
-                payload = parent.recv()
-                proc.join()
-            else:
-                proc.terminate()
-                proc.join()
-                elapsed = (time.perf_counter() - start) * 1000.0
-                sys.stdout.write(
-                    f"timeout method={args.method} budget_ms={args.time_budget_ms} "
-                    f"elapsed_ms={elapsed:.0f}\n"
-                )
-                return 3
-            if payload[0] == "error":
-                print(f"error: {payload[1]}", file=sys.stderr)
-                return 2
-            sys.stdout.write(payload[0])
-            return payload[1]
-        text, code = _solve_text(t, args)
-        sys.stdout.write(text)
-        return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        ctx = get_context("fork")
+        parent, child = ctx.Pipe()
+        proc = ctx.Process(target=_budget_child, args=(child, t, args))
+        start = time.perf_counter()
+        proc.start()
+        child.close()
+        if not parent.poll(args.time_budget_ms / 1000.0):
+            proc.terminate()
+            proc.join()
+            elapsed = (time.perf_counter() - start) * 1000.0
+            sys.stdout.write(
+                f"timeout method={args.method} budget_ms={args.time_budget_ms} "
+                f"elapsed_ms={elapsed:.0f}\n"
+            )
+            return 3
+        ok, text = parent.recv()
+        proc.join()
+        if not ok:
+            raise ValueError(text)
+    else:
+        text = _solve_text(t, args)
+    sys.stdout.write(text)
+    return 0
 
 
 def cmd_reduce(args) -> int:
-    try:
-        f = parse_dimacs(Path(args.input).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f = parse_dimacs(Path(args.input).read_text())
     layout = banks_gadget(f) if args.target == "banks" else teq_gadget(f)
     _write_output(args.output, format_tournament(layout.tournament))
     if args.labels:
@@ -208,16 +194,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        f = parse_dimacs(Path(args.input).read_text())
-        verdict = (
-            verify_banks_reduction(f)
-            if args.target == "banks"
-            else verify_teq_reduction(f)
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f = parse_dimacs(Path(args.input).read_text())
+    verdict = verify_banks_reduction(f) if args.target == "banks" else verify_teq_reduction(f)
     sat = "true" if verdict.sat else "false"
     member = "true" if verdict.member else "false"
     sys.stdout.write(f"SAT={sat} MEMBER={member} VERDICT={verdict.verdict}\n")
@@ -231,21 +209,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        ns = _parse_sizes(args.n)
-        checks = args.checks.split(",") if args.checks else SWEEP_CHECKS
-        mode = "random" if args.random else "exhaustive"
-        report = sweep(
-            ns,
-            checks=checks,
-            mode=mode,
-            samples=args.samples,
-            seed=args.seed,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = sweep(
+        _parse_sizes(args.n),
+        checks=args.checks.split(",") if args.checks else SWEEP_CHECKS,
+        mode="random" if args.random else "exhaustive",
+        samples=args.samples,
+        seed=args.seed,
+        workers=args.workers,
+    )
     _write_output(args.output, report.serialize())
     print(f"duration: {report.duration_s * 1000.0:.0f} ms", file=sys.stderr)
     return 1 if report.total_failures else 0
@@ -263,9 +234,9 @@ def _bench_rows(sizes, samples, seed):
             for t in ts:
                 t0 = time.perf_counter()
                 if method == "teq-exact":
-                    ncalls = _pykernel.teq_exact_masks(t.rows, t.full_mask)[2]
+                    ncalls = _pykernel.teq_exact_masks(t.cols, t.full_mask)[2]
                 else:
-                    ncalls = _pykernel.teq_heuristic_masks(t.rows, t.full_mask)[3]
+                    ncalls = _pykernel.teq_heuristic_masks(t.cols, t.full_mask)[3]
                 millis.append((time.perf_counter() - t0) * 1000.0)
                 calls.append(ncalls)
             rows.append(
@@ -283,11 +254,7 @@ def _bench_rows(sizes, samples, seed):
 
 
 def cmd_bench(args) -> int:
-    try:
-        rows = _bench_rows(_parse_sizes(args.sizes), args.samples, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = _bench_rows(_parse_sizes(args.sizes), args.samples, args.seed)
     header = ("size", "method", "backend", "mean_ms", "median_ms", "mean_calls", "median_calls")
     table = [header]
     for n, method, backend, mean_ms, med_ms, mean_calls, med_calls in rows:
@@ -369,7 +336,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

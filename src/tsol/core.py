@@ -10,8 +10,7 @@ objects are immutable; every operation here is a pure function.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -49,10 +48,15 @@ def set_of(mask: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Tournament:
-    """Alternatives plus a complete irreflexive antisymmetric dominance matrix."""
+    """Alternatives plus a complete irreflexive antisymmetric dominance matrix.
+
+    ``cols`` is derived from ``rows`` during validation: ``cols[i]`` has
+    bit ``j`` set iff j beats i.
+    """
 
     names: tuple[str, ...]
     rows: tuple[int, ...]
+    cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.names)
@@ -73,15 +77,25 @@ class Tournament:
                 raise ValueError(f"row {i} has bits outside 0..{n - 1}")
             if row >> i & 1:
                 raise ValueError(f"alternative {self.names[i]} dominates itself")
-        for i in range(n):
-            for j in range(i + 1, n):
-                fwd = self.rows[i] >> j & 1
-                rev = self.rows[j] >> i & 1
-                if fwd == rev:
-                    raise ValueError(
-                        f"pair ({self.names[i]}, {self.names[j]}) must be "
-                        f"dominated in exactly one direction"
-                    )
+        cols = [0] * n
+        for j, row in enumerate(self.rows):
+            bit = 1 << j
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= bit
+                row ^= low
+        # i and j are oriented exactly one way iff bit j differs between
+        # rows[i] and cols[i]; report the first bad pair (i, j) with i < j.
+        for i, (row, col) in enumerate(zip(self.rows, cols)):
+            later = full >> i + 1 << i + 1
+            bad = later & ~(row ^ col)
+            if bad:
+                j = (bad & -bad).bit_length() - 1
+                raise ValueError(
+                    f"pair ({self.names[i]}, {self.names[j]}) must be "
+                    f"dominated in exactly one direction"
+                )
+        object.__setattr__(self, "cols", tuple(cols))
 
     @property
     def n(self) -> int:
@@ -90,15 +104,6 @@ class Tournament:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    @cached_property
-    def cols(self) -> tuple[int, ...]:
-        """Column masks: ``cols[i]`` has bit ``j`` set iff j beats i."""
-        cols = [0] * self.n
-        for j, row in enumerate(self.rows):
-            for i in _bits(row):
-                cols[i] |= 1 << j
-        return tuple(cols)
 
     def dominates(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -257,10 +262,10 @@ def tournament_to_bits(t: Tournament) -> int:
     return bits
 
 
-def enumerate_tournaments(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Tournament]:
+def enumerate_tournaments(n: int) -> Iterator[Tournament]:
     """All labeled tournaments on ``n`` alternatives, ordered by bit pattern."""
-    if not 1 <= n <= cap:
-        raise ValueError(f"n={n} outside the enumeration cap 1..{cap}")
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise ValueError(f"n={n} outside the enumeration cap 1..{ENUMERATION_CAP}")
     names = default_names(n)
     for bits in range(1 << (n * (n - 1) // 2)):
         yield tournament_from_bits(n, bits, names)

@@ -22,7 +22,7 @@ result is equivalent to satisfiability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from tsol.core import Tournament
@@ -181,15 +181,6 @@ class GadgetLayout:
     chain: tuple[int, ...]
     levels: tuple[tuple[int, ...], ...]
     roles: tuple[str, ...]
-
-    def literal_node(self, clause: int, k: int) -> int:
-        return self.tournament.index(f"x{clause}_{k}")
-
-    def blocker_node(self, clause: int, k: int) -> int:
-        return self.tournament.index(f"z{clause}_{k}")
-
-    def separator_node(self, k: int) -> int:
-        return self.tournament.index(f"y{k}")
 
 
 def decision_node(layout: GadgetLayout) -> int:
@@ -443,11 +434,6 @@ def validate_layout(layout: GadgetLayout) -> list[LayoutViolation]:
                     lo, hi, "separator-order", "earlier level beats later at separators"
                 )
     return bad
-
-
-def with_tournament(layout: GadgetLayout, t: Tournament) -> GadgetLayout:
-    """Same layout metadata over a different tournament (fault injection)."""
-    return replace(layout, tournament=t)
 
 
 # --- exports ------------------------------------------------------------------

@@ -60,7 +60,7 @@ def teq_exact(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
     mask = t.full_mask if x is None else subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
-    teq_mask, in_edges, calls, subsets = _pykernel.teq_exact_masks(t.rows, mask)
+    teq_mask, in_edges, calls, subsets = _pykernel.teq_exact_masks(t.cols, mask)
     return TeqResult(
         teq_set=set_of(teq_mask),
         teq_relation=_relation_from_in_edges(mask, in_edges),
@@ -95,7 +95,7 @@ def teq_heuristic(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
     if mask == 0:
         raise ValueError("empty subset")
     teq_mask, base_mask, in_edges, calls, subsets, iterations = (
-        _pykernel.teq_heuristic_masks(t.rows, mask)
+        _pykernel.teq_heuristic_masks(t.cols, mask)
     )
     return TeqResult(
         teq_set=set_of(teq_mask),

@@ -260,7 +260,7 @@ def check_proof_trace(f: Cnf, w: ChoiceSet) -> ProofTraceResult:
     consecutive levels, and that the decision node sits in the TEQ of
     every level.
     """
-    if not w.consistent:
+    if not (w.consistent and choice_set(f, w.picks).consistent):
         raise ValueError("choice set is inconsistent")
     if f.m > TEQ_EXACT_CLAUSE_CAP:
         raise ValueError(f"proof trace capped at {TEQ_EXACT_CLAUSE_CAP} clauses")
@@ -270,16 +270,13 @@ def check_proof_trace(f: Cnf, w: ChoiceSet) -> ProofTraceResult:
     n = layout.size
     failures: list[str] = []
 
-    u: dict[int, int] = {}
-    for lvl in range(1, n + 1):
-        if lvl % 2 == 0:
-            u[lvl] = layout.separator_node(lvl // 2)
-        elif lvl % 4 == 1:
-            i = (lvl + 3) // 4
-            u[lvl] = layout.literal_node(i, w.picks[i - 1] + 1)
-        else:
-            i = (lvl + 1) // 4
-            u[lvl] = layout.blocker_node(i, w.picks[i - 1] + 1)
+    # levels[4i:4i+4] are clause i's literals, a separator, clause i's
+    # blockers and a separator (0-based i); u takes the picked literal
+    # and its blocker, and each separator's only node.
+    u = {
+        k + 1: members[0] if len(members) == 1 else members[w.picks[k // 4]]
+        for k, members in enumerate(layout.levels)
+    }
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -427,10 +424,10 @@ def parse_sweep_report(text: str) -> SweepReport:
 
 def _instance_failures(t: Tournament, checks: tuple[str, ...]) -> list[str]:
     full = t.full_mask
-    teq_mask, in_edges, _, _ = _pykernel.teq_exact_masks(t.rows, full)
+    teq_mask, in_edges, _, _ = _pykernel.teq_exact_masks(t.cols, full)
     banks_mask = None
     if "teq-in-banks" in checks or "condorcet" in checks:
-        banks_mask = _pykernel.banks_set_masks(t.rows, full)
+        banks_mask = _pykernel.banks_set_masks(t.rows, t.cols, full)
     failed = []
     if "nonempty" in checks and teq_mask == 0:
         failed.append("nonempty")
@@ -443,7 +440,7 @@ def _instance_failures(t: Tournament, checks: tuple[str, ...]) -> list[str]:
             if teq_mask != want or banks_mask != want:
                 failed.append("condorcet")
     if "heuristic-eq" in checks:
-        h_mask = _pykernel.teq_heuristic_masks(t.rows, full)[0]
+        h_mask = _pykernel.teq_heuristic_masks(t.cols, full)[0]
         if h_mask != teq_mask:
             failed.append("heuristic-eq")
     if "single-scc" in checks:

@@ -92,6 +92,44 @@ class TestSolve:
         assert lines[1] == "TEQ{a b c d e} = {a b c}"
         assert len(lines) == 7
 
+    def test_member_with_trace(self, capsys, fig1_file):
+        code, out, _ = run(
+            capsys,
+            ["solve", "--input", fig1_file, "--member", "a", "--trace", "1"],
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "true"
+        assert lines[1].startswith("path: a => ")
+        assert lines[2] == "TEQ{a b c d e} = {a b c}"
+        assert len(lines) == 2 + 6
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--method", "banks", "--trace", "1"], "teq method"),
+            (["--method", "topcycle", "--member", "a", "--trace", "0"], "teq method"),
+            (["--method", "teq-exact", "--trace", "-1"], "nonnegative"),
+            (["--method", "teq-heuristic", "--trace", "-2", "--time-budget-ms", "60000"], "nonnegative"),
+        ],
+    )
+    def test_trace_rejected_before_solving(self, capsys, monkeypatch, fig1_file, extra, message):
+        def unreachable(*args):
+            raise AssertionError("solved before --trace was checked")
+
+        monkeypatch.setattr(cli, "_solve_text", unreachable)
+        code, out, err = run(capsys, ["solve", "--input", fig1_file, *extra])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_budget_child_error_exit_2(self, capsys, fig1_file):
+        code, out, err = run(
+            capsys,
+            ["solve", "--input", fig1_file, "--member", "zz", "--time-budget-ms", "60000"],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: unknown alternative 'zz'\n"
+
     def test_parse_error_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("tournament 2\na b\n-1\nx-\n")
@@ -241,6 +279,15 @@ class TestVerify:
         assert out == "SAT=true MEMBER=false VERDICT=DISAGREE\n"
 
 
+    def test_oracle_disagreement_propagates(self, capsys, fig_cnf_file, monkeypatch):
+        def disagree(f):
+            raise RuntimeError("satisfiability oracles disagree")
+
+        monkeypatch.setattr(cli, "verify_banks_reduction", disagree)
+        with pytest.raises(RuntimeError, match="disagree"):
+            cli.main(["verify", "--input", fig_cnf_file, "--target", "banks"])
+
+
 class TestSweepCommand:
     def test_n3_exhaustive(self, capsys):
         code, out, err = run(capsys, ["sweep", "--n", "3", "--exhaustive"])
@@ -320,6 +367,26 @@ class TestBench:
         code, out, _ = run(capsys, ["bench", "--sizes", "4..5", "--samples", "1"])
         assert code == 0
         assert len(out.splitlines()) == 1 + 2 * 2
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--input", "{cnf}", "--target", "banks", "--output", "{bad}"],
+            ["reduce", "--input", "{cnf}", "--target", "teq", "--output", "-", "--labels", "{bad}"],
+            ["reduce", "--input", "{cnf}", "--target", "banks", "--output", "-", "--dot", "{bad}"],
+            ["sweep", "--n", "3", "--output", "{bad}"],
+            ["bench", "--sizes", "4", "--samples", "1", "--output", "{bad}"],
+        ],
+    )
+    def test_exit_2_with_message(self, capsys, tmp_path, fig_cnf_file, argv):
+        bad = tmp_path / "no-such-dir" / "out.txt"
+        argv = [a.format(cnf=fig_cnf_file, bad=bad) for a in argv]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: ") and str(bad) in err
+        assert not bad.parent.exists()
 
 
 class TestParserReuse:

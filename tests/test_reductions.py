@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from tsol.core import Tournament
@@ -14,7 +16,6 @@ from tsol.reductions import (
     parse_dimacs,
     teq_gadget,
     validate_layout,
-    with_tournament,
 )
 
 
@@ -211,7 +212,7 @@ class TestValidateLayout:
         rows = list(t.rows)
         rows[i] &= ~(1 << j)
         rows[j] |= 1 << i
-        broken = with_tournament(layout, Tournament(t.names, tuple(rows)))
+        broken = replace(layout, tournament=Tournament(t.names, tuple(rows)))
         violations = validate_layout(broken)
         assert len(violations) == 1
         assert violations[0].rule == "chain-order"
@@ -224,7 +225,7 @@ class TestValidateLayout:
         rows = list(t.rows)
         rows[i] &= ~(1 << j)
         rows[j] |= 1 << i
-        broken = with_tournament(layout, Tournament(t.names, tuple(rows)))
+        broken = replace(layout, tournament=Tournament(t.names, tuple(rows)))
         violations = validate_layout(broken)
         assert [v.rule for v in violations] == ["separator-order"]
 

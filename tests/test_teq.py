@@ -190,7 +190,7 @@ class TestSharedSolver:
         rng = Random(11)
         for _ in range(40):
             mask = rng.getrandbits(t.n) or 1
-            assert teq_of(mask) == _pykernel.teq_exact_masks(t.rows, mask)[0]
+            assert teq_of(mask) == _pykernel.teq_exact_masks(t.cols, mask)[0]
 
 
 class TestTrace:

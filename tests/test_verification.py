@@ -5,6 +5,7 @@ import pytest
 import tsol.verification
 from tsol.reductions import Cnf, Literal, cnf, decision_node, teq_gadget
 from tsol.verification import (
+    ChoiceSet,
     SweepReport,
     check_chain_reachability,
     check_proof_trace,
@@ -228,6 +229,21 @@ class TestProofTrace:
         f = cnf(("p", "q", "r"), ("-p", "-q", "-r"))
         with pytest.raises(ValueError, match="inconsistent"):
             check_proof_trace(f, choice_set(f, (0, 0)))
+
+    @pytest.mark.parametrize(
+        "picks, message",
+        [
+            ((0,), "expected 2 picks"),
+            ((0, 1, 2), "expected 2 picks"),
+            ((0, 3), "positions 0..2"),
+            ((-1, 0), "positions 0..2"),
+            ((0, 0), "inconsistent"),  # p and -p, although flagged consistent
+        ],
+    )
+    def test_rejects_malformed_choice(self, picks, message):
+        f = cnf(("p", "q", "r"), ("-p", "-q", "s"))
+        with pytest.raises(ValueError, match=message):
+            check_proof_trace(f, ChoiceSet(picks, consistent=True))
 
     def test_rejects_above_cap(self):
         f = nine_clauses()
