@@ -153,8 +153,10 @@ def cmd_solve(args) -> int:
             raise ValueError("--trace requires a teq method")
         if args.trace < 0:
             raise ValueError("--trace depth must be nonnegative")
+    if args.time_budget_ms < 0:
+        raise ValueError("--time-budget-ms must be nonnegative")
     t = parse_tournament(Path(args.input).read_text())
-    if args.time_budget_ms and args.time_budget_ms > 0:
+    if args.time_budget_ms:
         from multiprocessing import get_context
 
         ctx = get_context("fork")

@@ -333,14 +333,22 @@ def parse_tournament(text: str) -> Tournament:
             if i == j:
                 if ch != "-":
                     raise ValueError(f"line {lineno}: diagonal entry must be '-'")
-            elif ch == "1":
+                continue
+            if ch == "1":
                 rows[i] |= 1 << j
             elif ch != "0":
                 raise ValueError(f"line {lineno}: bad matrix entry {ch!r}")
+            # entry (j, i) of an earlier row must say the opposite
+            if j < i and (rows[i] >> j ^ rows[j] >> i) & 1 == 0:
+                raise ValueError(
+                    f"line {lineno}: pair ({names[j]}, {names[i]}) must be "
+                    f"dominated in exactly one direction"
+                )
+    # every matrix error is reported above, so only the names can be at fault
     try:
         return Tournament(names, tuple(rows))
     except ValueError as exc:
-        raise ValueError(f"line 3: {exc}") from None
+        raise ValueError(f"line 2: {exc}") from None
 
 
 def tournament_to_dot(t: Tournament) -> str:

@@ -1,29 +1,29 @@
 """3CNF formulas and the two layered gadget tournaments built from them.
 
 Both gadgets share a layout: a chain ``d = c_0, c_1, ..., c_n`` plus
-levels ``U_1..U_n`` where odd levels are 3-cycles and even levels are
-single separator nodes.  The fixed rules are: higher-indexed chain nodes
-beat lower ones; each level beats its own chain node and loses to every
-other chain node; whenever a separator is involved, the earlier level
-beats the later one; each odd level carries the 3-cycle 1 > 2 > 3 > 1.
-Pairs of elements from two different odd levels are the only freedom, and
-that is where each construction encodes the formula.
+levels ``U_1..U_n`` where odd levels are triples and even levels are
+single separator nodes.  Each gadget starts from one layered default:
+``c_j`` beats ``c_i`` for i < j; each chain node beats every level except
+its own, and level j beats ``c_j``; each triple cycles 1 > 2 > 3 > 1; and
+every element beats every element of every later level.  The formula
+then reverses a few pairs between two odd levels, and nothing else.
 
 ``banks_gadget`` puts the clauses on the odd levels, separated by single
-nodes; a literal at an earlier clause level beats a later-level literal
-unless the two are complementary, in which case the later literal beats
-back.  Membership of ``d`` in the Banks set of the result is equivalent
-to satisfiability.  ``teq_gadget`` additionally follows each clause level
-(except the last) with a blocker triple two levels down: a literal beats
-exactly its own blocker and loses to the other two, and blocker triples
-beat everything on later levels.  Membership of ``d`` in the TEQ of the
-result is equivalent to satisfiability.
+nodes.  Where two clause levels hold complementary literals, the later
+literal beats the earlier one.  Membership of ``d`` in the Banks set of
+the result is equivalent to satisfiability.  ``teq_gadget`` reverses the
+same literal pairs, and additionally follows each clause level (except
+the last) with a blocker triple two levels down: blocker ``z{i}_q`` beats
+literal ``x{i}_p`` for p != q, so each literal beats only its own blocker.
+Membership of ``d`` in the TEQ of the result is equivalent to
+satisfiability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import combinations, permutations
+from typing import Iterable, Iterator
 
 from tsol.core import Tournament
 
@@ -168,8 +168,10 @@ def format_dimacs(f: Cnf) -> str:
 
 # --- gadget layouts -----------------------------------------------------------
 
-# level payloads: ("clause", i, (lit1, lit2, lit3)), ("blocker", i), ("separator", k)
-LevelSpec = tuple
+# a level is a list of (name, role) members; a node is (level, position),
+# both 0-based, in the list of levels a gadget passes to ``_build_layout``
+Level = list[tuple[str, str]]
+Node = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -188,120 +190,72 @@ def decision_node(layout: GadgetLayout) -> int:
 
 
 def _build_layout(
-    level_specs: list[LevelSpec],
-    odd_pair: Callable[[LevelSpec, int, LevelSpec, int], bool],
+    levels: list[Level], reversed_pairs: Iterable[tuple[Node, Node]]
 ) -> GadgetLayout:
-    """Assemble a layered gadget tournament.
+    """The layered default on ``d = c_0..c_n`` and ``levels`` U_1..U_n, with
+    each ``(winner, loser)`` of ``reversed_pairs`` turned round.
 
-    ``odd_pair(spec_lo, k_lo, spec_hi, k_hi)`` decides whether the element
-    of the earlier odd level beats the element of the later odd level.
+    Indices are the chain, then each level's members in order.
     """
-    n = len(level_specs)
-    names: list[str] = ["d"] + [f"c{i}" for i in range(1, n + 1)]
-    roles: list[str] = ["decision"] + [f"chain {i}" for i in range(1, n + 1)]
-    chain = tuple(range(n + 1))
-    levels: list[tuple[int, ...]] = []
-    level_of: dict[int, int] = {}
-    pos_of: dict[int, int] = {}
-    for lvl, spec in enumerate(level_specs, start=1):
-        members = []
-        if spec[0] == "clause":
-            _, i, literals = spec
-            for k, l in enumerate(literals, start=1):
-                names.append(f"x{i}_{k}")
-                roles.append(f"literal {i} {k} {l}")
-                members.append(len(names) - 1)
-        elif spec[0] == "blocker":
-            _, i = spec
-            for k in range(1, 4):
-                names.append(f"z{i}_{k}")
-                roles.append(f"blocker {i} {k}")
-                members.append(len(names) - 1)
-        else:
-            _, k = spec
-            names.append(f"y{k}")
-            roles.append(f"separator {k}")
-            members.append(len(names) - 1)
-        for k, idx in enumerate(members, start=1):
-            level_of[idx] = lvl
-            pos_of[idx] = k
-        levels.append(tuple(members))
-
-    total = len(names)
-    rows = [0] * total
-
-    def beats(i: int, j: int) -> None:
-        rows[i] |= 1 << j
-
-    for i in range(total):
-        for j in range(i + 1, total):
-            li = level_of.get(i)
-            lj = level_of.get(j)
-            if li is None and lj is None:
-                beats(j, i)  # higher chain index beats lower
-            elif li is None:
-                # i is chain node c_i (index == chain position)
-                if i == lj:
-                    beats(j, i)
-                else:
-                    beats(i, j)
-            elif lj is None:
-                if j == li:
-                    beats(i, j)
-                else:
-                    beats(j, i)
-            elif li == lj:
-                # within a triple: 1 beats 2 beats 3 beats 1
-                ki, kj = pos_of[i], pos_of[j]
-                if kj - ki == 1:
-                    beats(i, j)
-                else:  # (ki, kj) == (1, 3)
-                    beats(j, i)
-            elif li % 2 == 0 or lj % 2 == 0:
-                if li < lj:
-                    beats(i, j)
-                else:
-                    beats(j, i)
-            else:
-                lo, hi = (i, j) if li < lj else (j, i)
-                if odd_pair(
-                    level_specs[level_of[lo] - 1],
-                    pos_of[lo],
-                    level_specs[level_of[hi] - 1],
-                    pos_of[hi],
-                ):
-                    beats(lo, hi)
-                else:
-                    beats(hi, lo)
-
+    n = len(levels)
+    names = ["d"] + [f"c{i}" for i in range(1, n + 1)]
+    roles = ["decision"] + [f"chain {i}" for i in range(1, n + 1)]
+    total = n + 1 + sum(map(len, levels))
+    # c_j beats c_i for i < j and every level element
+    rows = [(1 << j) - 1 | (1 << total) - (1 << n + 1) for j in range(n + 1)]
+    spans: list[tuple[int, ...]] = []
+    for j, members in enumerate(levels, start=1):
+        first, end = len(names), len(names) + len(members)
+        own = (1 << end) - (1 << first)
+        later = (1 << total) - (1 << end)
+        rows[j] &= ~own
+        for k, (name, role) in enumerate(members):
+            names.append(name)
+            roles.append(role)
+            # beat c_j, all later levels and the next member of a triple
+            # (a singleton's "next member" falls outside ``own``)
+            rows.append(1 << j | later | own & 1 << first + (k + 1) % 3)
+        spans.append(tuple(range(first, end)))
+    for (wl, wk), (ll, lk) in reversed_pairs:
+        winner, loser = spans[wl][wk], spans[ll][lk]
+        rows[winner] ^= 1 << loser
+        rows[loser] ^= 1 << winner
     return GadgetLayout(
         size=n,
         tournament=Tournament(tuple(names), tuple(rows)),
-        chain=chain,
-        levels=tuple(levels),
+        chain=tuple(range(n + 1)),
+        levels=tuple(spans),
         roles=tuple(roles),
     )
 
 
-def _literal_pair(spec_lo: LevelSpec, k_lo: int, spec_hi: LevelSpec, k_hi: int) -> bool:
-    """Earlier clause literal beats the later one unless they are complementary."""
-    lo_lit = spec_lo[2][k_lo - 1]
-    hi_lit = spec_hi[2][k_hi - 1]
-    return hi_lit != lo_lit.complement()
+def _clause_level(i: int, clause: Clause) -> Level:
+    return [(f"x{i}_{k}", f"literal {i} {k} {l}") for k, l in enumerate(clause, start=1)]
+
+
+def _complement_pairs(f: Cnf, stride: int) -> Iterator[tuple[Node, Node]]:
+    """The later of two complementary literals beats the earlier one; clause
+    ``i`` (0-based) sits on level ``stride * i``."""
+    for (i, earlier), (j, later) in combinations(enumerate(f.clauses), 2):
+        for p, a in enumerate(earlier):
+            for q, b in enumerate(later):
+                if b.variable == a.variable and b.negated != a.negated:
+                    yield (stride * j, q), (stride * i, p)
 
 
 def banks_gadget(f: Cnf) -> GadgetLayout:
     """Gadget whose Banks membership of ``d`` encodes satisfiability of ``f``.
 
     Size 2m-1: clause triples on odd levels, separators between them;
-    6m-1 alternatives in total.
+    6m-1 alternatives in total.  Apart from the layered default, only
+    complementary literals are reversed: the later one beats the earlier.
     """
-    specs: list[LevelSpec] = []
+    levels: list[Level] = []
     for i, clause in enumerate(f.clauses, start=1):
-        specs.append(("clause", i, clause))
+        levels.append(_clause_level(i, clause))
         if i < f.m:
-            specs.append(("separator", i))
-    return _build_layout(specs, _literal_pair)
+            levels.append([(f"y{i}", f"separator {i}")])
+    return _build_layout(levels, _complement_pairs(f, 2))
 
 
 def teq_gadget(f: Cnf) -> GadgetLayout:
@@ -309,31 +263,24 @@ def teq_gadget(f: Cnf) -> GadgetLayout:
 
     Size 4m-3: clause triples on levels 4i-3, blocker triples on levels
     4i-1 (all but the last clause), separators on even levels; 12m-7
-    alternatives in total.
+    alternatives in total.  Apart from the layered default, complementary
+    literals are reversed as in ``banks_gadget``, and blocker ``z{i}_q``
+    beats literal ``x{i}_p`` for p != q, so each literal beats only its own
+    blocker.
     """
-
-    def odd_pair(spec_lo: LevelSpec, k_lo: int, spec_hi: LevelSpec, k_hi: int) -> bool:
-        if spec_lo[0] == "clause" and spec_hi[0] == "clause":
-            return _literal_pair(spec_lo, k_lo, spec_hi, k_hi)
-        if spec_lo[0] == "clause" and spec_hi[0] == "blocker":
-            i, j = spec_lo[1], spec_hi[1]
-            if i < j:
-                return True
-            return k_lo == k_hi  # i == j: a literal only beats its own blocker
-        # blocker loses to nothing below it
-        return True
-
-    specs: list[LevelSpec] = []
-    sep = 0
+    levels: list[Level] = []
     for i, clause in enumerate(f.clauses, start=1):
-        specs.append(("clause", i, clause))
+        levels.append(_clause_level(i, clause))
         if i < f.m:
-            sep += 1
-            specs.append(("separator", sep))
-            specs.append(("blocker", i))
-            sep += 1
-            specs.append(("separator", sep))
-    return _build_layout(specs, odd_pair)
+            levels.append([(f"y{2 * i - 1}", f"separator {2 * i - 1}")])
+            levels.append([(f"z{i}_{k}", f"blocker {i} {k}") for k in (1, 2, 3)])
+            levels.append([(f"y{2 * i}", f"separator {2 * i}")])
+    blockers = [
+        ((4 * i + 2, q), (4 * i, p))
+        for i in range(f.m - 1)
+        for p, q in permutations(range(3), 2)
+    ]
+    return _build_layout(levels, [*_complement_pairs(f, 4), *blockers])
 
 
 # --- structural validation ----------------------------------------------------

@@ -152,6 +152,13 @@ class TestSolve:
         assert code == 3
         assert out.startswith("timeout method=teq-exact")
 
+    def test_negative_time_budget_rejected_before_reading(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            ["solve", "--input", str(tmp_path / "nope.txt"), "--time-budget-ms", "-5"],
+        )
+        assert (code, out, err) == (2, "", "error: --time-budget-ms must be nonnegative\n")
+
     def test_time_budget_met(self, capsys, fig1_file):
         code, out, _ = run(
             capsys,

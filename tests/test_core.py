@@ -310,6 +310,15 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 2"):
             parse_tournament("tournament 2\na\n-1\n0-\n")
 
+    def test_errors_name_the_line_at_fault(self):
+        with pytest.raises(ValueError) as dup:
+            parse_tournament("tournament 2\na a\n-1\n0-\n")
+        assert str(dup.value) == "line 2: duplicate alternative name 'a'"
+        # (c, d) is the only contradicted pair: lines 5 and 6 both say "beats"
+        with pytest.raises(ValueError) as pair:
+            parse_tournament("tournament 4\na b c d\n-111\n0-11\n00-1\n001-\n")
+        assert str(pair.value) == "line 6: pair (c, d) must be dominated in exactly one direction"
+
 
 def test_dot_export(fig1):
     dot = tournament_to_dot(fig1)

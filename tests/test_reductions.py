@@ -1,4 +1,6 @@
 from dataclasses import replace
+from itertools import combinations
+from random import Random
 
 import pytest
 
@@ -17,6 +19,8 @@ from tsol.reductions import (
     teq_gadget,
     validate_layout,
 )
+
+from oracles import all_formulas_m2, random_cnf
 
 
 class TestLiterals:
@@ -228,6 +232,43 @@ class TestValidateLayout:
         broken = replace(layout, tournament=Tournament(t.names, tuple(rows)))
         violations = validate_layout(broken)
         assert [v.rule for v in violations] == ["separator-order"]
+
+
+def _later_wins(f, stride, a, p, b, q):
+    """Whether element q of odd level b beats element p of odd level a < b.
+
+    Levels and positions are 0-based: clause i sits on level ``stride * i``
+    and, in the TEQ gadget (stride 4), its blocker on level ``stride * i + 2``.
+    """
+    if a % stride == 0 and b % stride == 0:
+        return f.clauses[b // stride][q] == f.clauses[a // stride][p].complement()
+    if stride == 4 and a % 4 == 0 and b == a + 2:
+        return p != q  # a literal beats only its own blocker
+    return False
+
+
+def _seeded_formulas():
+    rng = Random(20240)
+    return [random_cnf(rng, m) for m in range(3, 9) for _ in range(12)]
+
+
+class TestOddLevelPairs:
+    """Every pair of elements on two different odd levels, which
+    ``validate_layout`` leaves unchecked."""
+
+    @pytest.mark.parametrize("gadget, stride", [(banks_gadget, 2), (teq_gadget, 4)])
+    @pytest.mark.parametrize("formulas", [all_formulas_m2, _seeded_formulas])
+    def test_rule(self, gadget, stride, formulas):
+        for f in formulas():
+            layout = gadget(f)
+            t = layout.tournament
+            assert len(layout.levels) == stride * (f.m - 1) + 1
+            for a, b in combinations(range(0, len(layout.levels), 2), 2):
+                for p, u in enumerate(layout.levels[a]):
+                    for q, v in enumerate(layout.levels[b]):
+                        want = _later_wins(f, stride, a, p, b, q)
+                        assert t.dominates(v, u) == want, (f, t.names[u], t.names[v])
+                        assert t.dominates(u, v) != want
 
 
 class TestExports:
