@@ -230,16 +230,11 @@ def teq_heuristic_masks(
     n = len(cols)
     if x_mask == 0:
         raise ValueError("empty carrier")
-    hmemo: dict[int, int] = {}
-    stats = [0, 0]  # calls, computed
+    memo: dict[int, int] = {}
+    stats = [1, 1]  # calls, computed; the carrier counts once in each
 
-    def proc(mask: int, capture: dict | None) -> int:
-        stats[0] += 1
-        if capture is None:
-            hit = hmemo.get(mask)
-            if hit is not None:
-                return hit
-        stats[1] += 1
+    def explore(mask: int) -> tuple[int, int, list[int], int]:
+        """One heuristic pass: ``(teq, base, in_edges, iterations)``."""
         # seed with the alternatives whose dominator sets are smallest
         best = -1
         seed = 0
@@ -256,7 +251,7 @@ def teq_heuristic_masks(
                 seed |= low
         base = seed
         cur = seed
-        in_e: dict[int, int] = {}
+        in_edges = [0] * n
         iterations = 0
         while True:
             iterations += 1
@@ -265,36 +260,26 @@ def teq_heuristic_masks(
             while m:
                 a = (m & -m).bit_length() - 1
                 m &= m - 1
-                sub = cols[a] & mask
-                ta = proc(sub, None) if sub else 0
-                in_e[a] = in_e.get(a, 0) | ta
+                ta = teq_of(cols[a] & mask)
+                in_edges[a] |= ta
                 found |= ta
             if found & ~base == 0:
-                restricted = {a: in_e.get(a, 0) & base for a in _mask_iter(base)}
-                res = top_cycle_masks(base, restricted)
-                break
+                return top_cycle_masks(base, in_edges), base, in_edges, iterations
             cur = found
             base |= found
-        hmemo[mask] = res
-        if capture is not None:
-            capture["base"] = base
-            capture["in_edges"] = in_e
-            capture["iterations"] = iterations
-        return res
 
-    capture: dict = {}
-    teq = proc(x_mask, capture)
-    in_edges = [0] * n
-    for a, e in capture["in_edges"].items():
-        in_edges[a] = e
-    return (
-        teq,
-        capture["base"],
-        in_edges,
-        stats[0],
-        stats[1],
-        capture["iterations"],
-    )
+    def teq_of(mask: int) -> int:
+        if not mask:
+            return 0
+        stats[0] += 1
+        hit = memo.get(mask)
+        if hit is None:
+            stats[1] += 1
+            hit = memo[mask] = explore(mask)[0]
+        return hit
+
+    teq, base, in_edges, iterations = explore(x_mask)
+    return teq, base, in_edges, stats[0], stats[1], iterations
 
 
 def _mask_iter(mask: int):

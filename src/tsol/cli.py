@@ -256,6 +256,8 @@ def _bench_rows(sizes, samples, seed):
 
 
 def cmd_bench(args) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be positive")
     rows = _bench_rows(_parse_sizes(args.sizes), args.samples, args.seed)
     header = ("size", "method", "backend", "mean_ms", "median_ms", "mean_calls", "median_calls")
     table = [header]

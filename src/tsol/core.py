@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from tsol import _pykernel
+from tsol._pykernel import _mask_iter
 
 ENUMERATION_CAP = 7
 
@@ -28,13 +29,6 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(n))
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
-
-
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -43,7 +37,7 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def set_of(mask: int) -> frozenset[int]:
-    return frozenset(_bits(mask))
+    return frozenset(_mask_iter(mask))
 
 
 @dataclass(frozen=True)
@@ -147,13 +141,13 @@ def restrict(t: Tournament, x: Iterable[int]) -> Tournament:
     mask = subset_mask(t, x)
     if mask == 0:
         raise ValueError("cannot restrict to the empty set")
-    keep = sorted(_bits(mask))
+    keep = sorted(_mask_iter(mask))
     pos = {old: new for new, old in enumerate(keep)}
     names = tuple(t.names[i] for i in keep)
     rows = []
     for old in keep:
         row = 0
-        for j in _bits(t.rows[old] & mask):
+        for j in _mask_iter(t.rows[old] & mask):
             row |= 1 << pos[j]
         rows.append(row)
     return Tournament(names, tuple(rows))
@@ -172,7 +166,7 @@ def condorcet_winner(t: Tournament, x: Iterable[int]) -> int | None:
     mask = subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset has no winner")
-    for a in _bits(mask):
+    for a in _mask_iter(mask):
         if t.cols[a] & mask == 0:
             return a
     return None
@@ -181,9 +175,9 @@ def condorcet_winner(t: Tournament, x: Iterable[int]) -> int | None:
 def is_transitive(t: Tournament, x: Iterable[int]) -> bool:
     """True iff dominance restricted to ``x`` is transitive (no 3-cycle)."""
     mask = subset_mask(t, x)
-    for a in _bits(mask):
+    for a in _mask_iter(mask):
         da = t.rows[a] & mask
-        for b in _bits(da):
+        for b in _mask_iter(da):
             if t.rows[b] & mask & ~da:
                 return False
     return True
@@ -202,7 +196,7 @@ def transitive_closure(r: Relation) -> Relation:
                 out[a] |= reach_k
     pairs = {(a, a) for a in r.carrier}
     for a in r.carrier:
-        for b in _bits(out[a]):
+        for b in _mask_iter(out[a]):
             pairs.add((a, b))
     return Relation(r.carrier, frozenset(pairs))
 
@@ -228,7 +222,7 @@ def dominance_relation(t: Tournament, x: Iterable[int] | None = None) -> Relatio
     carrier = set_of(mask)
     pairs = set()
     for a in carrier:
-        for b in _bits(t.rows[a] & mask):
+        for b in _mask_iter(t.rows[a] & mask):
             pairs.add((a, b))
     return Relation(carrier, frozenset(pairs))
 
@@ -323,6 +317,9 @@ def parse_tournament(text: str) -> Tournament:
     names = tuple(lines[1].split())
     if len(names) != n:
         raise ValueError(f"line 2: expected {n} names, got {len(names)}")
+    if len(set(names)) != n:
+        dup = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ValueError(f"line 2: duplicate alternative name {dup!r}")
     rows = [0] * n
     for i in range(n):
         lineno = i + 3
@@ -344,11 +341,7 @@ def parse_tournament(text: str) -> Tournament:
                     f"line {lineno}: pair ({names[j]}, {names[i]}) must be "
                     f"dominated in exactly one direction"
                 )
-    # every matrix error is reported above, so only the names can be at fault
-    try:
-        return Tournament(names, tuple(rows))
-    except ValueError as exc:
-        raise ValueError(f"line 2: {exc}") from None
+    return Tournament(names, tuple(rows))
 
 
 def tournament_to_dot(t: Tournament) -> str:
@@ -357,7 +350,7 @@ def tournament_to_dot(t: Tournament) -> str:
     for name in t.names:
         lines.append(f'  "{name}";')
     for i in range(t.n):
-        for j in _bits(t.rows[i]):
+        for j in _mask_iter(t.rows[i]):
             lines.append(f'  "{t.names[i]}" -> "{t.names[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -230,6 +230,8 @@ def sample_chain_reachability(
     Each alternative is included with probability 1/2.  Returns the number
     of subsets checked and the failing (subset, result) pairs.
     """
+    if samples < 0:
+        raise ValueError("sample count must be nonnegative")
     t = layout.tournament
     d = decision_node(layout)
     teq_of = teq_solver(t)
@@ -251,7 +253,22 @@ class ProofTraceResult:
     failures: tuple[str, ...]
 
 
-def check_proof_trace(f: Cnf, w: ChoiceSet) -> ProofTraceResult:
+def check_proof_traces(f: Cnf) -> list[tuple[ChoiceSet, ProofTraceResult]]:
+    """Proof trace of every consistent choice set, in enumeration order.
+
+    All traces share one TEQ gadget and one TEQ memo; an unsatisfiable
+    formula has no consistent choice set and gives ``[]``.
+    """
+    if f.m > TEQ_EXACT_CLAUSE_CAP:
+        raise ValueError(f"proof trace capped at {TEQ_EXACT_CLAUSE_CAP} clauses")
+    layout = teq_gadget(f)
+    teq_of = teq_solver(layout.tournament)
+    return [(w, _proof_trace(layout, teq_of, w.picks)) for w in iter_consistent_choice_sets(f)]
+
+
+def _proof_trace(
+    layout: GadgetLayout, teq_of: Callable[[int], int], picks: tuple[int, ...]
+) -> ProofTraceResult:
     """Walk the nested dominator sets of a consistent choice and check them.
 
     Builds the transitive chain of picked literals, separators, and the
@@ -260,11 +277,6 @@ def check_proof_trace(f: Cnf, w: ChoiceSet) -> ProofTraceResult:
     consecutive levels, and that the decision node sits in the TEQ of
     every level.
     """
-    if not (w.consistent and choice_set(f, w.picks).consistent):
-        raise ValueError("choice set is inconsistent")
-    if f.m > TEQ_EXACT_CLAUSE_CAP:
-        raise ValueError(f"proof trace capped at {TEQ_EXACT_CLAUSE_CAP} clauses")
-    layout = teq_gadget(f)
     t = layout.tournament
     d = decision_node(layout)
     n = layout.size
@@ -274,7 +286,7 @@ def check_proof_trace(f: Cnf, w: ChoiceSet) -> ProofTraceResult:
     # blockers and a separator (0-based i); u takes the picked literal
     # and its blocker, and each separator's only node.
     u = {
-        k + 1: members[0] if len(members) == 1 else members[w.picks[k // 4]]
+        k + 1: members[0] if len(members) == 1 else members[picks[k // 4]]
         for k, members in enumerate(layout.levels)
     }
 
@@ -308,8 +320,6 @@ def check_proof_trace(f: Cnf, w: ChoiceSet) -> ProofTraceResult:
 
     if condorcet_winner(t, set_of(tower[1])) != d:
         failures.append("decision node is not the winner of the innermost level")
-
-    teq_of = teq_solver(t)
 
     def step(b: int, a: int, x: int) -> bool:
         """b => a in the TEQ relation on the mask x."""

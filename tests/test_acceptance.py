@@ -13,8 +13,7 @@ from tsol.core import enumerate_tournaments
 from tsol.reductions import banks_gadget, cnf, teq_gadget, validate_layout
 from tsol.teq import teq_exact
 from tsol.verification import (
-    check_proof_trace,
-    iter_consistent_choice_sets,
+    check_proof_traces,
     sample_chain_reachability,
     sat_brute_force,
     sweep,
@@ -164,8 +163,7 @@ def test_criterion_7_reachability_and_proof_trace():
         for f in family:
             if sat_brute_force(f) is None:
                 continue
-            for w in iter_consistent_choice_sets(f):
-                res = check_proof_trace(f, w)
+            for _, res in check_proof_traces(f):
                 traced += 1
                 assert res.levels == 4 * f.m - 2
                 if not res.ok:

@@ -370,6 +370,10 @@ class TestBench:
         assert len(lines) == 1 + 2 * 2  # sizes x methods
         assert any("teq-heuristic" in l for l in lines)
 
+    def test_nonpositive_samples_rejected(self, capsys):
+        code, out, err = run(capsys, ["bench", "--sizes", "5", "--samples", "0"])
+        assert (code, out, err) == (2, "", "error: --samples must be positive\n")
+
     def test_range_parsing(self, capsys):
         code, out, _ = run(capsys, ["bench", "--sizes", "4..5", "--samples", "1"])
         assert code == 0

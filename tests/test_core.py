@@ -319,6 +319,12 @@ class TestTextFormat:
             parse_tournament("tournament 4\na b c d\n-111\n0-11\n00-1\n001-\n")
         assert str(pair.value) == "line 6: pair (c, d) must be dominated in exactly one direction"
 
+    @pytest.mark.parametrize("matrix", ["-1\n1-\n", "-1\nx-\n"])
+    def test_duplicate_name_wins_over_later_matrix_error(self, matrix):
+        with pytest.raises(ValueError) as dup:
+            parse_tournament("tournament 2\na a\n" + matrix)
+        assert str(dup.value) == "line 2: duplicate alternative name 'a'"
+
 
 def test_dot_export(fig1):
     dot = tournament_to_dot(fig1)

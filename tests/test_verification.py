@@ -5,10 +5,9 @@ import pytest
 import tsol.verification
 from tsol.reductions import Cnf, Literal, cnf, decision_node, teq_gadget
 from tsol.verification import (
-    ChoiceSet,
     SweepReport,
     check_chain_reachability,
-    check_proof_trace,
+    check_proof_traces,
     choice_set,
     consistent_choice_set,
     iter_consistent_choice_sets,
@@ -173,6 +172,11 @@ class TestChainReachability:
         assert checked == 100
         assert failures == []
 
+    def test_rejects_negative_sample_count(self):
+        layout = teq_gadget(cnf(("p", "q", "r")))
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_chain_reachability(layout, -5, seed=3)
+
     def test_requires_decision_node(self, fig_cnf):
         layout = teq_gadget(cnf(("p", "q", "r")))
         with pytest.raises(ValueError, match="decision"):
@@ -210,45 +214,27 @@ class TestChainReachability:
 class TestProofTrace:
     def test_m1_each_pick(self):
         f = cnf(("p", "q", "r"))
-        for pick in range(3):
-            res = check_proof_trace(f, choice_set(f, (pick,)))
+        traces = check_proof_traces(f)
+        assert [w.picks for w, _ in traces] == [(0,), (1,), (2,)]
+        for _, res in traces:
             assert res.ok, res.failures
             assert res.levels == 2
 
     def test_m2_all_consistent_choices(self):
         f = cnf(("p", "q", "r"), ("-p", "-q", "s"))
-        count = 0
-        for w in iter_consistent_choice_sets(f):
-            res = check_proof_trace(f, w)
+        traces = check_proof_traces(f)
+        assert [w for w, _ in traces] == list(iter_consistent_choice_sets(f))
+        for _, res in traces:
             assert res.ok, res.failures
             assert res.levels == 6
-            count += 1
-        assert count == 7  # 9 pairs minus the p/-p and q/-q conflicts
+        assert len(traces) == 7  # 9 pairs minus the p/-p and q/-q conflicts
 
-    def test_rejects_inconsistent_choice(self):
-        f = cnf(("p", "q", "r"), ("-p", "-q", "-r"))
-        with pytest.raises(ValueError, match="inconsistent"):
-            check_proof_trace(f, choice_set(f, (0, 0)))
-
-    @pytest.mark.parametrize(
-        "picks, message",
-        [
-            ((0,), "expected 2 picks"),
-            ((0, 1, 2), "expected 2 picks"),
-            ((0, 3), "positions 0..2"),
-            ((-1, 0), "positions 0..2"),
-            ((0, 0), "inconsistent"),  # p and -p, although flagged consistent
-        ],
-    )
-    def test_rejects_malformed_choice(self, picks, message):
-        f = cnf(("p", "q", "r"), ("-p", "-q", "s"))
-        with pytest.raises(ValueError, match=message):
-            check_proof_trace(f, ChoiceSet(picks, consistent=True))
+    def test_unsatisfiable_formula_has_no_traces(self):
+        assert check_proof_traces(unsat_eight_clauses()) == []
 
     def test_rejects_above_cap(self):
-        f = nine_clauses()
         with pytest.raises(ValueError, match="capped"):
-            check_proof_trace(f, consistent_choice_set(f))
+            check_proof_traces(nine_clauses())
 
     @staticmethod
     def flipped_trace(monkeypatch, x, y):
@@ -257,7 +243,7 @@ class TestProofTrace:
         t = layout.tournament
         bad = flip_edges(layout, [(t.index(x), t.index(y))])
         monkeypatch.setattr(tsol.verification, "teq_gadget", lambda _: bad)
-        return check_proof_trace(f, choice_set(f, (0, 1)))
+        return dict(check_proof_traces(f))[choice_set(f, (0, 1))]
 
     def test_reports_broken_step(self, monkeypatch):
         res = self.flipped_trace(monkeypatch, "c1", "y1")
