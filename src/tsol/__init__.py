@@ -6,19 +6,12 @@ from tsol.core import (
     Relation,
     Tournament,
     condorcet_winner,
-    dominance_relation,
-    dominators,
     enumerate_tournaments,
     format_tournament,
-    is_transitive,
     parse_tournament,
     random_tournament,
-    restrict,
-    top_cycle,
     tournament_from_bits,
-    tournament_to_bits,
     tournament_to_dot,
-    transitive_closure,
 )
 from tsol.reductions import (
     Cnf,
@@ -85,13 +78,10 @@ __all__ = [
     "condorcet_winner",
     "consistent_choice_set",
     "decision_node",
-    "dominance_relation",
-    "dominators",
     "enumerate_tournaments",
     "format_dimacs",
     "format_tournament",
     "is_top_extendable",
-    "is_transitive",
     "iter_consistent_choice_sets",
     "layout_labels",
     "layout_to_dot",
@@ -100,7 +90,6 @@ __all__ = [
     "parse_sweep_report",
     "parse_tournament",
     "random_tournament",
-    "restrict",
     "sample_chain_reachability",
     "sat_brute_force",
     "sweep",
@@ -109,11 +98,8 @@ __all__ = [
     "teq_heuristic",
     "teq_member",
     "teq_trace",
-    "top_cycle",
     "tournament_from_bits",
-    "tournament_to_bits",
     "tournament_to_dot",
-    "transitive_closure",
     "validate_layout",
     "verify_banks_reduction",
     "verify_teq_reduction",

@@ -47,7 +47,7 @@ def banks_member(
 ) -> tuple[int, ...] | None:
     """Witness chain iff ``a`` is in the Banks set of the restriction to ``x``."""
     mask = t.full_mask if x is None else subset_mask(t, x)
-    if not mask >> a & 1:
+    if a < 0 or not mask >> a & 1:
         raise ValueError(f"alternative {a} not in the queried subset")
     chain = _pykernel.banks_member_masks(t.rows, t.cols, mask, a)
     return tuple(chain) if chain is not None else None

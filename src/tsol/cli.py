@@ -43,16 +43,15 @@ def _parse_sizes(text: str) -> list[int]:
     sizes: list[int] = []
     for item in text.split(","):
         item = item.strip()
-        if ".." in item:
-            lo_text, hi_text = item.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"empty range {item!r}")
-            sizes.extend(range(lo, hi + 1))
-        else:
-            sizes.append(int(item))
-    if not sizes:
-        raise ValueError("no sizes given")
+        lo_text, dots, hi_text = item.partition("..")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
+        except ValueError:
+            raise ValueError(f"bad size {item!r}: expected n or lo..hi") from None
+        if hi < lo:
+            raise ValueError(f"empty range {item!r}")
+        sizes.extend(range(lo, hi + 1))
     return sizes
 
 

@@ -1,10 +1,12 @@
-"""Tournaments, relations, and the order-theoretic primitives on them.
+"""Tournaments: validation, construction, enumeration, and text formats.
 
 A tournament is a complete, irreflexive, antisymmetric dominance relation
 over a list of named alternatives.  Dominance is stored as one bitmask row
-per alternative (``rows[i]`` has bit ``j`` set iff ``i`` beats ``j``), so
-dominator-set and restriction operations are word-parallel ANDs.  All
-objects are immutable; every operation here is a pure function.
+per alternative (``rows[i]`` has bit ``j`` set iff ``i`` beats ``j``), and
+validation derives the matching columns.  ``Relation`` only packs the TEQ
+relation that ``tsol.teq`` reports; the top cycle and the solution
+concepts are computed on masks in ``tsol._pykernel``.  All objects are
+immutable; every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from tsol import _pykernel
 from tsol._pykernel import _mask_iter
 
 ENUMERATION_CAP = 7
@@ -27,13 +28,6 @@ def default_names(n: int) -> tuple[str, ...]:
     if n <= len(_LETTERS):
         return tuple(_LETTERS[:n])
     return tuple(f"a{i}" for i in range(n))
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 def set_of(mask: int) -> frozenset[int]:
@@ -111,10 +105,11 @@ class Tournament:
 
 @dataclass(frozen=True)
 class Relation:
-    """A directed relation over a subset of alternative indices.
+    """A directed relation over a subset of alternative indices: the TEQ
+    relation of a ``TeqResult``, with ``(b, a)`` in ``pairs`` iff b => a.
 
     Unlike tournaments, relations are neither complete nor irreflexive in
-    general; reflexive-transitive closures live here too.
+    general.
     """
 
     carrier: frozenset[int]
@@ -136,31 +131,6 @@ def subset_mask(t: Tournament, x: Iterable[int]) -> int:
     return m
 
 
-def restrict(t: Tournament, x: Iterable[int]) -> Tournament:
-    """Sub-tournament induced by ``x``, keeping the original name order."""
-    mask = subset_mask(t, x)
-    if mask == 0:
-        raise ValueError("cannot restrict to the empty set")
-    keep = sorted(_mask_iter(mask))
-    pos = {old: new for new, old in enumerate(keep)}
-    names = tuple(t.names[i] for i in keep)
-    rows = []
-    for old in keep:
-        row = 0
-        for j in _mask_iter(t.rows[old] & mask):
-            row |= 1 << pos[j]
-        rows.append(row)
-    return Tournament(names, tuple(rows))
-
-
-def dominators(t: Tournament, x: Iterable[int], a: int) -> frozenset[int]:
-    """Alternatives within ``x`` that beat ``a``."""
-    mask = subset_mask(t, x)
-    if not mask >> a & 1:
-        raise ValueError(f"alternative {a} not in the queried subset")
-    return set_of(t.cols[a] & mask)
-
-
 def condorcet_winner(t: Tournament, x: Iterable[int]) -> int | None:
     """The alternative in ``x`` beating all others in ``x``, if it exists."""
     mask = subset_mask(t, x)
@@ -170,61 +140,6 @@ def condorcet_winner(t: Tournament, x: Iterable[int]) -> int | None:
         if t.cols[a] & mask == 0:
             return a
     return None
-
-
-def is_transitive(t: Tournament, x: Iterable[int]) -> bool:
-    """True iff dominance restricted to ``x`` is transitive (no 3-cycle)."""
-    mask = subset_mask(t, x)
-    for a in _mask_iter(mask):
-        da = t.rows[a] & mask
-        for b in _mask_iter(da):
-            if t.rows[b] & mask & ~da:
-                return False
-    return True
-
-
-def transitive_closure(r: Relation) -> Relation:
-    """Reflexive-transitive closure of ``r`` over its carrier."""
-    out = {a: 0 for a in r.carrier}
-    for a, b in r.pairs:
-        out[a] |= 1 << b
-    for k in r.carrier:
-        kbit = 1 << k
-        reach_k = out[k]
-        for a in r.carrier:
-            if out[a] & kbit:
-                out[a] |= reach_k
-    pairs = {(a, a) for a in r.carrier}
-    for a in r.carrier:
-        for b in _mask_iter(out[a]):
-            pairs.add((a, b))
-    return Relation(r.carrier, frozenset(pairs))
-
-
-def top_cycle(r: Relation) -> frozenset[int]:
-    """Maximal elements of the asymmetric part of the closure of ``r``.
-
-    Computed as the union of the source components of the condensation,
-    which is the same set.
-    """
-    if not r.carrier:
-        raise ValueError("top cycle of an empty carrier is undefined")
-    carrier_mask = mask_of(r.carrier)
-    in_edges: dict[int, int] = {a: 0 for a in r.carrier}
-    for a, b in r.pairs:
-        in_edges[b] |= 1 << a
-    return set_of(_pykernel.top_cycle_masks(carrier_mask, in_edges))
-
-
-def dominance_relation(t: Tournament, x: Iterable[int] | None = None) -> Relation:
-    """The dominance relation of ``t`` restricted to ``x`` as a Relation."""
-    mask = t.full_mask if x is None else subset_mask(t, x)
-    carrier = set_of(mask)
-    pairs = set()
-    for a in carrier:
-        for b in _mask_iter(t.rows[a] & mask):
-            pairs.add((a, b))
-    return Relation(carrier, frozenset(pairs))
 
 
 def tournament_from_bits(n: int, bits: int, names: tuple[str, ...] | None = None) -> Tournament:
@@ -245,15 +160,6 @@ def tournament_from_bits(n: int, bits: int, names: tuple[str, ...] | None = None
         else:
             rows[j] |= 1 << i
     return Tournament(names or default_names(n), tuple(rows))
-
-
-def tournament_to_bits(t: Tournament) -> int:
-    """Inverse of ``tournament_from_bits`` for the same pair ordering."""
-    bits = 0
-    for k, (i, j) in enumerate(combinations(range(t.n), 2)):
-        if t.dominates(i, j):
-            bits |= 1 << k
-    return bits
 
 
 def enumerate_tournaments(n: int) -> Iterator[Tournament]:

@@ -80,7 +80,7 @@ def teq_solver(t: Tournament) -> Callable[[int], int]:
 
 def teq_member(t: Tournament, x: Iterable[int] | None, a: int) -> bool:
     mask = t.full_mask if x is None else subset_mask(t, x)
-    if not mask >> a & 1:
+    if a < 0 or not mask >> a & 1:
         raise ValueError(f"alternative {a} not in the queried subset")
     return bool(teq_solver(t)(mask) >> a & 1)
 

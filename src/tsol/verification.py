@@ -379,36 +379,49 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
+def _report_int(text: str, what: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {what} {text!r} is not an integer") from None
+
+
 def parse_sweep_report(text: str) -> SweepReport:
     """Read a serialized report back; worker count and timing are not stored."""
     lines = text.strip().splitlines()
     if not lines or not lines[0].startswith("sweep "):
         raise ValueError("line 1: expected 'sweep' header")
-    fields = dict(part.split("=", 1) for part in lines[0][len("sweep "):].split())
-    try:
-        ns = tuple(int(x) for x in fields["ns"].split(","))
-        mode = fields["mode"]
-        checks = tuple(fields["checks"].split(","))
-        seed = int(fields["seed"])
-        samples = int(fields["samples"])
-    except KeyError as exc:
-        raise ValueError(f"line 1: missing header field {exc}") from None
+    fields = {}
+    for part in lines[0][len("sweep "):].split():
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"line 1: header field {part!r} has no '='")
+        fields[key] = value
+    for key in ("ns", "mode", "checks", "seed", "samples"):
+        if key not in fields:
+            raise ValueError(f"line 1: missing header field {key!r}")
+    ns = tuple(_report_int(x, "size", 1) for x in fields["ns"].split(","))
+    seed = _report_int(fields["seed"], "seed", 1)
+    samples = _report_int(fields["samples"], "samples", 1)
+    checks = tuple(fields["checks"].split(","))
     passes: dict[str, int] = {}
     failures: dict[str, int] = {}
     counterexamples: list[str] = []
     instances = total = None
     for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("check "):
-            name, counts = line[len("check "):].split(": ", 1)
-            p, f = counts.split()
-            passes[name] = int(p.removeprefix("pass="))
-            failures[name] = int(f.removeprefix("fail="))
+            name, _, counts = line[len("check "):].partition(": ")
+            p, _, f = counts.partition(" ")
+            if not (p.startswith("pass=") and f.startswith("fail=")):
+                raise ValueError(f"line {lineno}: expected 'check <name>: pass=<n> fail=<n>'")
+            passes[name] = _report_int(p[len("pass="):], "pass count", lineno)
+            failures[name] = _report_int(f[len("fail="):], "fail count", lineno)
         elif line.startswith("FAIL "):
             counterexamples.append(line[len("FAIL "):])
         elif line.endswith("failures"):
-            head, _, _ = line.partition(" instances, ")
-            instances = int(head)
-            total = int(line.split(", ")[1].split()[0])
+            head, _, tail = line.removesuffix(" failures").partition(" instances, ")
+            instances = _report_int(head, "instance count", lineno)
+            total = _report_int(tail, "failure count", lineno)
         else:
             raise ValueError(f"line {lineno}: unrecognized report line")
     if instances is None:
@@ -419,7 +432,7 @@ def parse_sweep_report(text: str) -> SweepReport:
         raise ValueError("failure counts are inconsistent")
     return SweepReport(
         ns=ns,
-        mode=mode,
+        mode=fields["mode"],
         checks=checks,
         seed=seed,
         samples=samples,
@@ -501,6 +514,8 @@ def sweep(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     ns = tuple(ns)
+    if not ns:
+        raise ValueError("no sizes given")
     for n in ns:
         if n < 1:
             raise ValueError("sizes must be positive")

@@ -10,7 +10,7 @@ import dataclasses
 from itertools import combinations, product
 from random import Random
 
-from tsol.core import Tournament, restrict
+from tsol.core import Tournament
 from tsol.reductions import Cnf, GadgetLayout, Literal, cnf
 
 
@@ -46,12 +46,20 @@ def banks_oracle(t: Tournament, universe=None) -> frozenset[int]:
     return frozenset(winners)
 
 
-def source_components(x: frozenset[int], pairs: set[tuple[int, int]]) -> frozenset[int]:
-    """Union of the strongly connected components of (x, pairs) that no edge
-    enters from outside: a is kept iff a reaches everything that reaches it."""
+def restrict(t: Tournament, keep) -> Tournament:
+    """Sub-tournament induced by ``keep``, in index order, built pair by pair."""
+    keep = sorted(set(keep))
+    rows = [sum(1 << j for j, b in enumerate(keep) if t.dominates(a, b)) for a in keep]
+    return Tournament(tuple(t.names[a] for a in keep), tuple(rows))
+
+
+def _ancestors(x, pairs) -> dict[int, set[int]]:
+    """For each a in x, the b in x with a nonempty path b -> ... -> a in
+    (x, pairs); pairs leaving x are ignored."""
     preds: dict[int, set[int]] = {a: set() for a in x}
     for b, a in pairs:
-        preds[a].add(b)
+        if a in preds and b in preds:
+            preds[a].add(b)
     ancestors = {}
     for a in x:
         seen = set()
@@ -62,7 +70,21 @@ def source_components(x: frozenset[int], pairs: set[tuple[int, int]]) -> frozens
                     seen.add(b)
                     stack.append(b)
         ancestors[a] = seen
+    return ancestors
+
+
+def source_components(x: frozenset[int], pairs: set[tuple[int, int]]) -> frozenset[int]:
+    """Union of the strongly connected components of (x, pairs) that no edge
+    enters from outside: a is kept iff a reaches everything that reaches it."""
+    ancestors = _ancestors(x, pairs)
     return frozenset(a for a in x if all(a in ancestors[b] for b in ancestors[a]))
+
+
+def scc_count(x: frozenset[int], pairs: set[tuple[int, int]]) -> int:
+    """Number of strongly connected components of (x, pairs): the distinct
+    classes of mutual reachability."""
+    ancestors = _ancestors(x, pairs)
+    return len({frozenset({a} | {b for b in ancestors[a] if a in ancestors[b]}) for a in x})
 
 
 def teq_oracle(t: Tournament) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:

@@ -3,15 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsol.banks import banks_member, banks_set, is_top_extendable
-from tsol.core import (
-    enumerate_tournaments,
-    is_transitive,
-    random_tournament,
-    restrict,
-    tournament_from_bits,
-)
+from tsol.core import enumerate_tournaments, random_tournament, tournament_from_bits
 
-from oracles import banks_oracle
+from oracles import banks_oracle, restrict, transitive_by_triples
 
 
 def idx(t, *names):
@@ -45,18 +39,23 @@ class TestBanksMember:
         chain = banks_member(fig1, range(5), fig1.index("d"))
         assert chain is not None
         assert chain[0] == fig1.index("d")
-        assert is_transitive(fig1, chain)
+        assert transitive_by_triples(fig1, chain)
         assert is_top_extendable(fig1, chain) is None
 
     def test_three_cycle_everybody_wins(self):
         t = tournament_from_bits(3, 0b101)  # a>b, b>c, c>a (cyclic)
-        assert not is_transitive(t, range(3))
+        assert not transitive_by_triples(t, range(3))
         for a in range(3):
             assert banks_member(t, range(3), a) is not None
 
     def test_membership_requires_carrier(self, fig1):
         with pytest.raises(ValueError):
             banks_member(fig1, [0, 1], 4)
+
+    @pytest.mark.parametrize("x", [None, [0, 1]])
+    def test_negative_index_rejected(self, fig1, x):
+        with pytest.raises(ValueError, match="^alternative -1 not in the queried subset$"):
+            banks_member(fig1, x, -1)
 
 
 class TestBanksSet:
@@ -105,7 +104,7 @@ class TestBanksSet:
             assert (chain is not None) == (a in members)
             if chain is not None:
                 assert chain[0] == a
-                assert is_transitive(t, chain)
+                assert transitive_by_triples(t, chain)
                 assert is_top_extendable(t, chain) is None
 
     def test_contains_condorcet_winner(self):

@@ -326,6 +326,12 @@ class TestSweepCommand:
         assert code == 0
         assert "5 instances, 0 failures" in out
 
+    @pytest.mark.parametrize("sizes, item", [("", "''"), ("3,,4", "''"), ("3..", "'3..'")])
+    def test_bad_size_item_exit_2(self, capsys, sizes, item):
+        code, out, err = run(capsys, ["sweep", "--n", sizes])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad size {item}: expected n or lo..hi\n"
+
     def test_cap_exit_2(self, capsys):
         code, _, err = run(capsys, ["sweep", "--n", "9"])
         assert code == 2

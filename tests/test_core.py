@@ -1,40 +1,41 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsol import _pykernel
 from tsol.core import (
-    Relation,
     Tournament,
     condorcet_winner,
-    dominance_relation,
-    dominators,
     enumerate_tournaments,
     format_tournament,
-    is_transitive,
     parse_tournament,
     random_tournament,
-    restrict,
-    top_cycle,
     tournament_from_bits,
-    tournament_to_bits,
     tournament_to_dot,
-    transitive_closure,
 )
 
-from oracles import transitive_by_triples
+from oracles import restrict, scc_count, source_components, transitive_by_triples
 
 
 def idx(t, *names):
     return [t.index(n) for n in names]
 
 
-def fig1_teq_relation(t):
-    pairs = [("c", "a"), ("a", "b"), ("b", "c"), ("a", "d"), ("a", "e"), ("c", "e"), ("d", "e")]
-    return Relation(
-        frozenset(range(5)), frozenset((t.index(x), t.index(y)) for x, y in pairs)
-    )
+def in_edges_of(n, pairs):
+    """``in_edges[a]``: the mask of b with (b, a) in ``pairs``."""
+    in_edges = [0] * n
+    for b, a in pairs:
+        in_edges[a] |= 1 << b
+    return in_edges
+
+
+def top_cycle(n, pairs):
+    """The kernel's top cycle of ({0..n-1}, pairs) as a set."""
+    tc = _pykernel.top_cycle_masks((1 << n) - 1, in_edges_of(n, pairs))
+    return {a for a in range(n) if tc >> a & 1}
 
 
 class TestTournamentInvariants:
@@ -113,6 +114,8 @@ class TestTournamentInvariants:
 
 
 class TestRestrict:
+    """The restriction oracle that referees reachability and Banks subsets."""
+
     def test_pair_restriction(self, fig1):
         r = restrict(fig1, idx(fig1, "a", "e"))
         assert r.names == ("a", "e")
@@ -129,34 +132,29 @@ class TestRestrict:
     def test_errors(self, fig1):
         with pytest.raises(ValueError):
             restrict(fig1, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError):
             restrict(fig1, [9])
 
 
 class TestDominators:
+    """``Tournament.cols[a]``: the mask of alternatives that beat a."""
+
     def test_fig1_values(self, fig1):
-        full = range(5)
-        assert dominators(fig1, full, fig1.index("a")) == {fig1.index("c")}
-        assert dominators(fig1, full, fig1.index("e")) == set(idx(fig1, "a", "c", "d"))
+        assert fig1.cols[fig1.index("a")] == 1 << fig1.index("c")
+        assert fig1.cols[fig1.index("e")] == sum(1 << i for i in idx(fig1, "a", "c", "d"))
 
-    def test_singleton(self, fig1):
-        a = fig1.index("a")
-        assert dominators(fig1, [a], a) == frozenset()
-
-    def test_requires_membership(self, fig1):
-        with pytest.raises(ValueError):
-            dominators(fig1, [0, 1], 3)
+    def test_singleton(self):
+        assert random_tournament(1, 5).cols == (0,)
 
     @given(st.integers(2, 7), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_partition(self, n, seed):
         t = random_tournament(n, seed)
-        full = frozenset(range(n))
         for a in range(n):
-            above = dominators(t, full, a)
-            below = {b for b in range(n) if t.dominates(a, b)}
-            assert above | {a} | below == full
-            assert not above & below
+            above = t.cols[a]
+            assert above == sum(1 << b for b in range(n) if t.rows[b] >> a & 1)
+            assert above | 1 << a | t.rows[a] == t.full_mask
+            assert not above & t.rows[a]
 
 
 class TestCondorcet:
@@ -170,87 +168,61 @@ class TestCondorcet:
         assert condorcet_winner(fig1, idx(fig1, "a", "c", "d")) is None
 
 
-class TestTransitiveClosure:
-    def test_chain(self):
-        r = Relation(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))
-        closed = transitive_closure(r)
-        assert closed.pairs == {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}
-
-    def test_empty_on_singleton(self):
-        r = Relation(frozenset({0}), frozenset())
-        assert transitive_closure(r).pairs == {(0, 0)}
-
-    def test_fig1_teq_relation_closure(self, fig1):
-        # hand-computed closure of the seven worked-example pairs
-        closed = transitive_closure(fig1_teq_relation(fig1))
-        names = {
-            "a": {"a", "b", "c", "d", "e"},
-            "b": {"a", "b", "c", "d", "e"},
-            "c": {"a", "b", "c", "d", "e"},
-            "d": {"d", "e"},
-            "e": {"e"},
-        }
-        expected = {
-            (fig1.index(x), fig1.index(y)) for x, rs in names.items() for y in rs
-        }
-        assert closed.pairs == expected
-
-    def test_idempotent(self, fig1):
-        once = transitive_closure(fig1_teq_relation(fig1))
-        assert transitive_closure(once) == once
-
-
 class TestTopCycle:
     def test_fig1_teq_relation(self, fig1):
-        assert top_cycle(fig1_teq_relation(fig1)) == set(idx(fig1, "a", "b", "c"))
+        pairs = [("c", "a"), ("a", "b"), ("b", "c"), ("a", "d"), ("a", "e"), ("c", "e"), ("d", "e")]
+        pairs = [(fig1.index(x), fig1.index(y)) for x, y in pairs]
+        assert top_cycle(5, pairs) == set(idx(fig1, "a", "b", "c"))
 
     def test_condorcet_winner_is_singleton_top_cycle(self):
         for t in enumerate_tournaments(4):
             w = condorcet_winner(t, range(4))
-            tc = top_cycle(dominance_relation(t))
-            assert (w is not None) == (len(tc) == 1)
+            tc = _pykernel.top_cycle_masks(t.full_mask, t.cols)
+            assert (w is not None) == (tc.bit_count() == 1)
             if w is not None:
-                assert tc == {w}
+                assert tc == 1 << w
 
     def test_three_cycle(self):
-        r = Relation(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2), (2, 0)}))
-        assert top_cycle(r) == {0, 1, 2}
-
-    def test_empty_carrier_rejected(self):
-        with pytest.raises(ValueError):
-            top_cycle(Relation(frozenset(), frozenset()))
+        assert top_cycle(3, [(0, 1), (1, 2), (2, 0)]) == {0, 1, 2}
 
     @given(st.integers(1, 7), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_nonempty(self, n, seed):
         t = random_tournament(n, seed)
-        assert top_cycle(dominance_relation(t))
+        assert _pykernel.top_cycle_masks(t.full_mask, t.cols)
+
+    def test_every_relation_on_four_nodes_matches_oracles(self):
+        # all 4,096 loop-free edge sets on 4 nodes, each on all 15 carriers;
+        # edges that leave the carrier stay in in_edges and must be ignored
+        edges = [(b, a) for b in range(4) for a in range(4) if a != b]
+        for bits in range(1 << len(edges)):
+            pairs = [e for k, e in enumerate(edges) if bits >> k & 1]
+            in_edges = in_edges_of(4, pairs)
+            for carrier in range(1, 16):
+                x = frozenset(a for a in range(4) if carrier >> a & 1)
+                tc = _pykernel.top_cycle_masks(carrier, in_edges)
+                assert {a for a in range(4) if tc >> a & 1} == source_components(x, pairs)
+                assert _pykernel.scc_count_masks(carrier, in_edges) == scc_count(x, pairs)
 
 
 class TestIsTransitive:
+    """The triple-by-triple transitivity oracle that checks Banks chains."""
+
     def test_fig1_examples(self, fig1):
-        assert is_transitive(fig1, idx(fig1, "a", "b", "d"))
-        assert is_transitive(fig1, idx(fig1, "b", "c"))
-        assert is_transitive(fig1, idx(fig1, "c", "a", "e"))
-        assert not is_transitive(fig1, idx(fig1, "a", "c", "d"))
-        assert is_transitive(fig1, [])
-
-    def test_matches_triple_oracle(self):
-        from itertools import combinations
-
-        for t in enumerate_tournaments(5):
-            for r in range(4):
-                for sub in combinations(range(5), r):
-                    assert is_transitive(t, sub) == transitive_by_triples(t, sub)
+        assert transitive_by_triples(fig1, idx(fig1, "a", "b", "d"))
+        assert transitive_by_triples(fig1, idx(fig1, "b", "c"))
+        assert transitive_by_triples(fig1, idx(fig1, "c", "a", "e"))
+        assert not transitive_by_triples(fig1, idx(fig1, "a", "c", "d"))
+        assert transitive_by_triples(fig1, [])
 
     @given(st.integers(0, 2**15 - 1), st.integers(0, 63))
     @settings(max_examples=80, deadline=None)
     def test_downward_monotone(self, bits, submask):
         t = tournament_from_bits(6, bits)
         subset = [i for i in range(6) if submask >> i & 1]
-        if is_transitive(t, subset):
+        if transitive_by_triples(t, subset):
             for drop in subset:
-                assert is_transitive(t, [i for i in subset if i != drop])
+                assert transitive_by_triples(t, [i for i in subset if i != drop])
 
 
 class TestEnumeration:
@@ -258,12 +230,13 @@ class TestEnumeration:
         assert len(list(enumerate_tournaments(1))) == 1
         three = list(enumerate_tournaments(3))
         assert len(three) == 8
-        assert sum(not is_transitive(t, range(3)) for t in three) == 2
+        assert sum(not transitive_by_triples(t, range(3)) for t in three) == 2
         assert sum(1 for _ in enumerate_tournaments(5)) == 1024
 
     def test_bit_round_trip(self):
-        for t in enumerate_tournaments(3):
-            assert tournament_from_bits(3, tournament_to_bits(t)) == t
+        for bits, t in enumerate(enumerate_tournaments(3)):
+            pairs = combinations(range(3), 2)
+            assert sum(t.dominates(i, j) << k for k, (i, j) in enumerate(pairs)) == bits
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -330,3 +303,13 @@ def test_dot_export(fig1):
     dot = tournament_to_dot(fig1)
     assert dot.count("->") == 10
     assert '"a" -> "b"' in dot
+
+
+def test_public_names_resolve():
+    # a stale __all__ entry breaks `from tsol import *` but not `import tsol`
+    import tsol
+
+    namespace: dict = {}
+    exec("from tsol import *", namespace)
+    for name in tsol.__all__:
+        assert namespace[name] is getattr(tsol, name)

@@ -15,7 +15,7 @@ from tsol.core import (
 from tsol.reductions import Cnf, teq_gadget
 from tsol.teq import teq_exact, teq_heuristic, teq_member, teq_solver, teq_trace
 
-from oracles import all_clauses, random_cnf, teq_oracle
+from oracles import all_clauses, random_cnf, source_components, teq_oracle
 
 
 def idx(t, *names):
@@ -88,6 +88,11 @@ class TestTeqMember:
         with pytest.raises(ValueError):
             teq_member(fig1, [0, 1], 4)
 
+    @pytest.mark.parametrize("x", [None, [0, 1]])
+    def test_negative_index_rejected(self, fig1, x):
+        with pytest.raises(ValueError, match="^alternative -1 not in the queried subset$"):
+            teq_member(fig1, x, -1)
+
 
 class TestTeqHeuristic:
     def test_fig1_matches_exact(self, fig1):
@@ -109,7 +114,8 @@ class TestTeqHeuristic:
         t = random_tournament(n, seed)
         res = teq_heuristic(t)
         assert 1 <= res.stats.iterations <= n
-        assert res.teq_set == top_cycle_of(res)
+        rel = res.teq_relation
+        assert res.teq_set == source_components(rel.carrier, rel.pairs)
 
     @given(st.integers(1, 9), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
@@ -161,12 +167,6 @@ class TestTopCycleRestriction:
     def test_heuristic_equals_exact_on_gadgets(self, m):
         t = teq_gadget(random_cnf(Random(200 + m), m)).tournament
         assert teq_heuristic(t).teq_set == teq_exact(t).teq_set
-
-
-def top_cycle_of(res):
-    from tsol.core import top_cycle
-
-    return top_cycle(res.teq_relation)
 
 
 class TestInclusionInBanks:

@@ -297,6 +297,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="workers"):
             sweep([3], workers=0)
 
+    def test_empty_size_list_rejected(self):
+        # its report would carry the header ns=, which no parser can read back
+        with pytest.raises(ValueError, match="^no sizes given$"):
+            sweep([])
+
     def test_serialization_shape_with_failures(self):
         report = SweepReport(
             ns=(5,),
@@ -320,6 +325,33 @@ class TestSweep:
         for report in (sweep([3]), sweep([6, 4], mode="random", samples=7, seed=2)):
             back = parse_sweep_report(report.serialize())
             assert back.serialize() == report.serialize()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "sweep ns=3 mode=exhaustive checks=nonempty seed=0 samples=0 junk\n",
+                "line 1: header field 'junk' has no '='",
+            ),
+            (
+                "sweep ns=3,x mode=exhaustive checks=nonempty seed=0 samples=0\n",
+                "line 1: size 'x' is not an integer",
+            ),
+            (
+                "sweep ns=3 mode=exhaustive checks=nonempty seed=s samples=0\n",
+                "line 1: seed 's' is not an integer",
+            ),
+            (
+                "sweep ns=3 mode=exhaustive checks=nonempty seed=0 samples=0\n"
+                "check nonempty: pass=8\n8 instances, 0 failures\n",
+                "line 2: expected 'check <name>: pass=<n> fail=<n>'",
+            ),
+        ],
+    )
+    def test_parse_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_sweep_report(text)
+        assert str(info.value) == message
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError, match="header"):
