@@ -3,7 +3,6 @@
 from tsol import _pykernel
 from tsol.banks import banks_member, banks_set, is_top_extendable
 from tsol.core import (
-    Relation,
     Tournament,
     condorcet_winner,
     enumerate_tournaments,
@@ -56,7 +55,6 @@ def backend_name() -> str:
 
 
 __all__ = [
-    "Relation",
     "Tournament",
     "Cnf",
     "Literal",

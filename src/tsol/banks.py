@@ -20,7 +20,7 @@ def is_top_extendable(
     t: Tournament, chain: tuple[int, ...], x: Iterable[int] | None = None
 ) -> int | None:
     """Lowest-index alternative in ``x`` dominating every chain element, if any."""
-    mask = t.full_mask if x is None else subset_mask(t, x)
+    mask = subset_mask(t, x)
     _check_chain(t, chain, mask)
     doms = mask
     for c in chain:
@@ -46,7 +46,7 @@ def banks_member(
     t: Tournament, x: Iterable[int] | None, a: int
 ) -> tuple[int, ...] | None:
     """Witness chain iff ``a`` is in the Banks set of the restriction to ``x``."""
-    mask = t.full_mask if x is None else subset_mask(t, x)
+    mask = subset_mask(t, x)
     if a < 0 or not mask >> a & 1:
         raise ValueError(f"alternative {a} not in the queried subset")
     chain = _pykernel.banks_member_masks(t.rows, t.cols, mask, a)
@@ -55,7 +55,7 @@ def banks_member(
 
 def banks_set(t: Tournament, x: Iterable[int] | None = None) -> frozenset[int]:
     """Maxima of the inclusion-maximal transitive subsets of the restriction."""
-    mask = t.full_mask if x is None else subset_mask(t, x)
+    mask = subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
     return set_of(_pykernel.banks_set_masks(t.rows, t.cols, mask))

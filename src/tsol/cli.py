@@ -22,6 +22,7 @@ from tsol.core import (
     parse_tournament,
     random_tournament,
     set_of,
+    subset_mask,
 )
 from tsol.reductions import (
     banks_gadget,
@@ -30,7 +31,7 @@ from tsol.reductions import (
     parse_dimacs,
     teq_gadget,
 )
-from tsol.teq import teq_exact, teq_heuristic, teq_trace
+from tsol.teq import TeqResult, teq_exact, teq_heuristic, teq_trace
 from tsol.verification import SWEEP_CHECKS, sweep, verify_banks_reduction, verify_teq_reduction
 
 DEFAULT_SEED = 20240
@@ -66,32 +67,29 @@ def _solution_line(t: Tournament, indices) -> str:
     return " ".join(sorted(t.names[i] for i in indices)) + "\n"
 
 
-def _relation_path(t: Tournament, relation, members: frozenset[int], a: int) -> str:
-    """A cycle through ``a`` in the relation, or just ``a`` when isolated."""
-    out: dict[int, list[int]] = {}
-    for x, y in sorted(relation.pairs):
-        if x in members and y in members:
-            out.setdefault(x, []).append(y)
+def _relation_path(t: Tournament, res: TeqResult, a: int) -> str:
+    """A shortest cycle through ``a`` in the TEQ relation on the TEQ set, or
+    just ``a`` when there is none; the search visits lower indices first."""
+    members = subset_mask(t, res.teq_set)
+    out = [0] * t.n
+    for y in res.teq_set:
+        for x in _pykernel._mask_iter(res.in_edges[y] & members):
+            out[x] |= 1 << y
     parent: dict[int, int] = {}
     frontier = [a]
-    seen = set()
-    found = False
-    while frontier and not found:
+    seen = 1 << a
+    while frontier and a not in parent:
         nxt = []
         for x in frontier:
-            for y in out.get(x, ()):
-                if y == a:
-                    parent[a] = x
-                    found = True
-                    break
-                if y not in seen:
-                    seen.add(y)
-                    parent[y] = x
-                    nxt.append(y)
-            if found:
+            if out[x] >> a & 1:
+                parent[a] = x
                 break
+            for y in _pykernel._mask_iter(out[x] & ~seen):
+                seen |= 1 << y
+                parent[y] = x
+                nxt.append(y)
         frontier = nxt
-    if not found:
+    if a not in parent:
         return f"path: {t.names[a]}"
     path = [a]
     cur = parent[a]
@@ -118,7 +116,7 @@ def _solve_text(t: Tournament, args) -> str:
             member = a in res.teq_set
             out.append("true\n" if member else "false\n")
             if member:
-                out.append(_relation_path(t, res.teq_relation, res.teq_set, a) + "\n")
+                out.append(_relation_path(t, res, a) + "\n")
         else:
             tc = _pykernel.top_cycle_masks(t.full_mask, t.cols)
             out.append("true\n" if tc >> a & 1 else "false\n")
@@ -212,7 +210,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     report = sweep(
         _parse_sizes(args.n),
-        checks=args.checks.split(",") if args.checks else SWEEP_CHECKS,
+        checks=args.checks.split(",") if args.checks is not None else SWEEP_CHECKS,
         mode="random" if args.random else "exhaustive",
         samples=args.samples,
         seed=args.seed,

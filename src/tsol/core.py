@@ -3,10 +3,10 @@
 A tournament is a complete, irreflexive, antisymmetric dominance relation
 over a list of named alternatives.  Dominance is stored as one bitmask row
 per alternative (``rows[i]`` has bit ``j`` set iff ``i`` beats ``j``), and
-validation derives the matching columns.  ``Relation`` only packs the TEQ
-relation that ``tsol.teq`` reports; the top cycle and the solution
-concepts are computed on masks in ``tsol._pykernel``.  All objects are
-immutable; every operation here is a pure function.
+validation derives the matching columns.  Subsets travel as masks too;
+the top cycle and the solution concepts are computed on masks in
+``tsol._pykernel``.  All objects are immutable; every operation here is a
+pure function.
 """
 
 from __future__ import annotations
@@ -103,26 +103,11 @@ class Tournament:
             raise ValueError(f"unknown alternative {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Relation:
-    """A directed relation over a subset of alternative indices: the TEQ
-    relation of a ``TeqResult``, with ``(b, a)`` in ``pairs`` iff b => a.
-
-    Unlike tournaments, relations are neither complete nor irreflexive in
-    general.
-    """
-
-    carrier: frozenset[int]
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for a, b in self.pairs:
-            if a not in self.carrier or b not in self.carrier:
-                raise ValueError(f"pair ({a}, {b}) leaves the carrier")
-
-
-def subset_mask(t: Tournament, x: Iterable[int]) -> int:
-    """Validate an index subset against ``t`` and pack it into a mask."""
+def subset_mask(t: Tournament, x: Iterable[int] | None) -> int:
+    """Validate an index subset against ``t`` and pack it into a mask;
+    ``None`` stands for all of ``t``."""
+    if x is None:
+        return t.full_mask
     m = 0
     for i in x:
         if not 0 <= i < t.n:

@@ -56,6 +56,14 @@ def lit(text: str) -> Literal:
 Clause = tuple[Literal, Literal, Literal]
 
 
+def _check_clause(k: int, clause: Clause) -> None:
+    """Clause ``k`` holds three distinct literals and no complementary pair."""
+    if len(set(clause)) != 3:
+        raise ValueError(f"clause {k}: duplicate literal")
+    if len({l.variable for l in clause}) != 3:
+        raise ValueError(f"clause {k}: complementary literal pair")
+
+
 @dataclass(frozen=True)
 class Cnf:
     """A 3CNF formula: ordered clauses of exactly three literals each.
@@ -72,10 +80,7 @@ class Cnf:
         for idx, clause in enumerate(self.clauses, start=1):
             if len(clause) != 3:
                 raise ValueError(f"clause {idx}: expected exactly 3 literals")
-            if len(set(clause)) != 3:
-                raise ValueError(f"clause {idx}: duplicate literal")
-            if len({l.variable for l in clause}) != 3:
-                raise ValueError(f"clause {idx}: complementary literal pair")
+            _check_clause(idx, clause)
 
     @property
     def m(self) -> int:
@@ -137,10 +142,7 @@ def parse_dimacs(text: str) -> Cnf:
                     f"got {len(current)}"
                 )
             clause = (current[0], current[1], current[2])
-            if len(set(clause)) != 3:
-                raise ValueError(f"clause {len(clauses) + 1}: duplicate literal")
-            if len({l.variable for l in clause}) != 3:
-                raise ValueError(f"clause {len(clauses) + 1}: complementary literal pair")
+            _check_clause(len(clauses) + 1, clause)
             clauses.append(clause)
             current = []
             continue

@@ -1,16 +1,19 @@
 """Tournament equilibrium set: exact recursion and the minimal-dominator heuristic.
 
-The TEQ relation on a carrier X holds b => a exactly when b is in the TEQ
-of a's dominator set within X; the TEQ of X is the top cycle of that
-relation.  The exact solver replaces every nested set by its dominance top
-cycle, which has the same TEQ, and memoizes those by bit pattern.
-``teq_exact`` starts a fresh memo on every call.  ``teq_member``,
-``teq_trace`` and the gadget checks in ``tsol.verification`` ask about
-many sets of one tournament and share one memo among them: the TEQ of a
-set depends only on the set, so a memo keyed by top cycle stays valid for
-every query on that tournament.  The heuristic explores outward from the
-alternatives with the smallest dominator sets and, on every input seen so
-far, matches the exact set; equality is checked by sweeps, never assumed.
+The TEQ relation on a carrier X holds b => a exactly when b is in the
+TEQ of a's dominator set within X; the TEQ of X is the top cycle of that
+relation.  A ``TeqResult`` carries the relation the way the kernel and
+every check hold it: one in-edge mask per alternative, bit b of
+``in_edges[a]`` set iff b => a.  The exact solver replaces every nested
+set by its dominance top cycle, which has the same TEQ, and memoizes
+those by bit pattern.  ``teq_exact`` starts a fresh memo on every call.
+``teq_member``, ``teq_trace`` and the gadget checks in
+``tsol.verification`` ask about many sets of one tournament and share
+one memo among them: the TEQ of a set depends only on the set, so a memo
+keyed by top cycle stays valid for every query on that tournament.  The
+heuristic explores outward from the alternatives with the smallest
+dominator sets and, on every input seen so far, matches the exact set;
+equality is checked by sweeps, never assumed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from tsol import _pykernel
-from tsol.core import Relation, Tournament, set_of, subset_mask
+from tsol.core import Tournament, set_of, subset_mask
 
 
 @dataclass(frozen=True)
@@ -38,32 +41,28 @@ class TeqStats:
 
 @dataclass(frozen=True)
 class TeqResult:
+    """The TEQ set, plus the TEQ relation on ``carrier`` as in-edge masks.
+
+    Bit b of ``in_edges[a]`` is set iff b => a, and ``in_edges[a]`` is 0
+    for a outside ``carrier`` (the convention of ``Tournament.cols``).
+    """
+
     teq_set: frozenset[int]
-    teq_relation: Relation
+    carrier: frozenset[int]
+    in_edges: tuple[int, ...]
     stats: TeqStats
-
-
-def _relation_from_in_edges(carrier_mask: int, in_edges: list[int]) -> Relation:
-    carrier = set_of(carrier_mask)
-    pairs = set()
-    for a in carrier:
-        e = in_edges[a]
-        while e:
-            b = (e & -e).bit_length() - 1
-            e &= e - 1
-            pairs.add((b, a))
-    return Relation(carrier, frozenset(pairs))
 
 
 def teq_exact(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
     """Exact TEQ of the restriction of ``t`` to ``x``."""
-    mask = t.full_mask if x is None else subset_mask(t, x)
+    mask = subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
     teq_mask, in_edges, calls, subsets = _pykernel.teq_exact_masks(t.cols, mask)
     return TeqResult(
         teq_set=set_of(teq_mask),
-        teq_relation=_relation_from_in_edges(mask, in_edges),
+        carrier=set_of(mask),
+        in_edges=tuple(in_edges),
         stats=TeqStats(calls=calls, subsets=subsets),
     )
 
@@ -79,7 +78,7 @@ def teq_solver(t: Tournament) -> Callable[[int], int]:
 
 
 def teq_member(t: Tournament, x: Iterable[int] | None, a: int) -> bool:
-    mask = t.full_mask if x is None else subset_mask(t, x)
+    mask = subset_mask(t, x)
     if a < 0 or not mask >> a & 1:
         raise ValueError(f"alternative {a} not in the queried subset")
     return bool(teq_solver(t)(mask) >> a & 1)
@@ -88,10 +87,10 @@ def teq_member(t: Tournament, x: Iterable[int] | None, a: int) -> bool:
 def teq_heuristic(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
     """Minimal-dominator-set heuristic for TEQ.
 
-    The returned relation's carrier is the explored base set, which can be
-    a proper subset of ``x``; its top cycle is the reported TEQ set.
+    The result's carrier is the explored base set, which can be a proper
+    subset of ``x``; the top cycle of its relation is the reported TEQ set.
     """
-    mask = t.full_mask if x is None else subset_mask(t, x)
+    mask = subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
     teq_mask, base_mask, in_edges, calls, subsets, iterations = (
@@ -99,7 +98,8 @@ def teq_heuristic(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
     )
     return TeqResult(
         teq_set=set_of(teq_mask),
-        teq_relation=_relation_from_in_edges(base_mask, in_edges),
+        carrier=set_of(base_mask),
+        in_edges=tuple(in_edges),
         stats=TeqStats(calls=calls, subsets=subsets, iterations=iterations),
     )
 
@@ -115,7 +115,7 @@ def teq_trace(
     """
     if depth_limit < 0:
         raise ValueError("depth limit must be nonnegative")
-    mask = t.full_mask if x is None else subset_mask(t, x)
+    mask = subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
     teq_of = teq_solver(t)

@@ -404,6 +404,10 @@ def parse_sweep_report(text: str) -> SweepReport:
     seed = _report_int(fields["seed"], "seed", 1)
     samples = _report_int(fields["samples"], "samples", 1)
     checks = tuple(fields["checks"].split(","))
+    try:
+        _check_sweep_args(ns, checks, fields["mode"], samples, workers=1)
+    except ValueError as exc:
+        raise ValueError(f"line 1: {exc}") from None
     passes: dict[str, int] = {}
     failures: dict[str, int] = {}
     counterexamples: list[str] = []
@@ -467,8 +471,7 @@ def _instance_failures(t: Tournament, checks: tuple[str, ...]) -> list[str]:
         if h_mask != teq_mask:
             failed.append("heuristic-eq")
     if "single-scc" in checks:
-        restricted = [in_edges[a] & teq_mask for a in range(t.n)]
-        if _pykernel.scc_count_masks(teq_mask, restricted) != 1:
+        if _pykernel.scc_count_masks(teq_mask, in_edges) != 1:
             failed.append("single-scc")
     return failed
 
@@ -494,6 +497,30 @@ def _sweep_task(args: tuple) -> tuple[int, dict[str, int], list[str]]:
     return hi - lo, fail_counts, counterexamples
 
 
+def _check_sweep_args(
+    ns: tuple[int, ...], checks: tuple[str, ...], mode: str, samples: int, workers: int
+) -> None:
+    """The arguments ``sweep`` accepts, and so the report headers that parse."""
+    for check in checks:
+        if check not in SWEEP_CHECKS:
+            raise ValueError(f"unknown check {check!r}")
+    if not checks:
+        raise ValueError("no checks selected")
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if not ns:
+        raise ValueError("no sizes given")
+    for n in ns:
+        if n < 1:
+            raise ValueError("sizes must be positive")
+        if mode == "exhaustive" and n > ENUMERATION_CAP:
+            raise ValueError(f"exhaustive sweep capped at n={ENUMERATION_CAP}")
+    if mode == "random" and samples < 1:
+        raise ValueError("random mode needs a positive sample count")
+
+
 def sweep(
     ns: Sequence[int],
     checks: Sequence[str] = SWEEP_CHECKS,
@@ -504,25 +531,8 @@ def sweep(
 ) -> SweepReport:
     """Run the selected checks over every instance and fold a report."""
     checks = tuple(sorted(set(checks)))
-    for check in checks:
-        if check not in SWEEP_CHECKS:
-            raise ValueError(f"unknown check {check!r}")
-    if not checks:
-        raise ValueError("no checks selected")
-    if mode not in ("exhaustive", "random"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     ns = tuple(ns)
-    if not ns:
-        raise ValueError("no sizes given")
-    for n in ns:
-        if n < 1:
-            raise ValueError("sizes must be positive")
-        if mode == "exhaustive" and n > ENUMERATION_CAP:
-            raise ValueError(f"exhaustive sweep capped at n={ENUMERATION_CAP}")
-    if mode == "random" and samples < 1:
-        raise ValueError("random mode needs a positive sample count")
+    _check_sweep_args(ns, checks, mode, samples, workers)
 
     tasks = []
     for n in ns:

@@ -87,6 +87,17 @@ def scc_count(x: frozenset[int], pairs: set[tuple[int, int]]) -> int:
     return len({frozenset({a} | {b for b in ancestors[a] if a in ancestors[b]}) for a in x})
 
 
+def relation_pairs(res) -> frozenset[tuple[int, int]]:
+    """The pairs (b, a) with b => a in a ``TeqResult``: bit b of
+    ``in_edges[a]``, read bit by bit over every alternative."""
+    return frozenset(
+        (b, a)
+        for a, edges in enumerate(res.in_edges)
+        for b in range(edges.bit_length())
+        if edges >> b & 1
+    )
+
+
 def teq_oracle(t: Tournament) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
     """TEQ by Schwartz's definition: no top-cycle restriction, no bitmasks.
 

@@ -26,6 +26,7 @@ from oracles import (
     banks_oracle,
     nine_clauses,
     random_cnf,
+    relation_pairs,
     teq_oracle,
     unsat_eight_clauses,
 )
@@ -53,7 +54,7 @@ def test_criterion_1_worked_example_regression(fig1):
         assert res.teq_set == {fig1.index(x) for x in "abc"}
         assert banks_set(fig1) == {fig1.index(x) for x in "abcd"}
         expected = frozenset((fig1.index(x), fig1.index(y)) for x, y in FIG_PAIRS)
-        assert res.teq_relation.pairs == expected
+        assert relation_pairs(res) == expected
 
 
 def test_criterion_2_brute_force_oracle_equivalence():
@@ -66,7 +67,7 @@ def test_criterion_2_brute_force_oracle_equivalence():
         for n in range(1, 6):
             for t in enumerate_tournaments(n):
                 res = teq_exact(t)
-                if (res.teq_set, res.teq_relation.pairs) != teq_oracle(t):
+                if (res.teq_set, relation_pairs(res)) != teq_oracle(t):
                     mismatches += 1
         assert mismatches == 0
 

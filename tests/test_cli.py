@@ -64,15 +64,14 @@ class TestSolve:
         assert lines[1].startswith("chain: d > ")
 
     def test_teq_member_path(self, capsys, fig1_file):
-        code, out, _ = run(
-            capsys,
-            ["solve", "--input", fig1_file, "--method", "teq-exact", "--member", "a"],
-        )
-        lines = out.splitlines()
-        assert code == 0
-        assert lines[0] == "true"
-        assert lines[1].startswith("path: a => ")
-        assert lines[1].endswith("=> a")
+        paths = {"a": "a => b => c => a", "b": "b => c => a => b", "c": "c => a => b => c"}
+        for method in ("teq-exact", "teq-heuristic"):
+            for member, path in paths.items():
+                code, out, _ = run(
+                    capsys,
+                    ["solve", "--input", fig1_file, "--method", method, "--member", member],
+                )
+                assert (code, out) == (0, f"true\npath: {path}\n")
 
     def test_unknown_member_name(self, capsys, fig1_file):
         code, _, err = run(
@@ -331,6 +330,11 @@ class TestSweepCommand:
         code, out, err = run(capsys, ["sweep", "--n", sizes])
         assert (code, out) == (2, "")
         assert err == f"error: bad size {item}: expected n or lo..hi\n"
+
+    @pytest.mark.parametrize("checks", ["", "nonempty,"])
+    def test_empty_check_name_exit_2(self, capsys, checks):
+        code, out, err = run(capsys, ["sweep", "--n", "2", "--checks", checks])
+        assert (code, out, err) == (2, "", "error: unknown check ''\n")
 
     def test_cap_exit_2(self, capsys):
         code, _, err = run(capsys, ["sweep", "--n", "9"])

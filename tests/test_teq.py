@@ -15,7 +15,7 @@ from tsol.core import (
 from tsol.reductions import Cnf, teq_gadget
 from tsol.teq import teq_exact, teq_heuristic, teq_member, teq_solver, teq_trace
 
-from oracles import all_clauses, random_cnf, source_components, teq_oracle
+from oracles import all_clauses, random_cnf, relation_pairs, source_components, teq_oracle
 
 
 def idx(t, *names):
@@ -30,8 +30,8 @@ class TestTeqExact:
         res = teq_exact(fig1)
         assert res.teq_set == idx(fig1, "a", "b", "c")
         expected = frozenset((fig1.index(x), fig1.index(y)) for x, y in FIG1_PAIRS)
-        assert res.teq_relation.pairs == expected
-        assert res.teq_relation.carrier == frozenset(range(5))
+        assert relation_pairs(res) == expected
+        assert res.carrier == frozenset(range(5))
 
     def test_condorcet_winner_selected(self):
         for t in enumerate_tournaments(4):
@@ -57,17 +57,18 @@ class TestTeqExact:
         t = random_tournament(n, seed)
         res = teq_exact(t)
         assert res.teq_set
-        for b, a in res.teq_relation.pairs:
+        pairs = relation_pairs(res)
+        for b, a in pairs:
             assert t.dominates(b, a)
         for a in range(n):
             if t.cols[a]:  # somebody beats a, so somebody TEQ-dominates a
-                assert any(pair[1] == a for pair in res.teq_relation.pairs)
+                assert any(pair[1] == a for pair in pairs)
 
     def test_subset_query(self, fig1):
         sub = idx(fig1, "a", "c", "d")
         res = teq_exact(fig1, sub)
         assert res.teq_set == sub  # 3-cycle
-        assert res.teq_relation.carrier == sub
+        assert res.carrier == sub
 
     def test_more_alternatives_than_a_machine_word(self):
         n = 70
@@ -114,8 +115,7 @@ class TestTeqHeuristic:
         t = random_tournament(n, seed)
         res = teq_heuristic(t)
         assert 1 <= res.stats.iterations <= n
-        rel = res.teq_relation
-        assert res.teq_set == source_components(rel.carrier, rel.pairs)
+        assert res.teq_set == source_components(res.carrier, relation_pairs(res))
 
     @given(st.integers(1, 9), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
@@ -125,9 +125,9 @@ class TestTeqHeuristic:
 
     def test_relation_carrier_is_base_set(self, fig1):
         res = teq_heuristic(fig1)
-        for b, a in res.teq_relation.pairs:
-            assert b in res.teq_relation.carrier
-            assert a in res.teq_relation.carrier
+        for b, a in relation_pairs(res):
+            assert b in res.carrier
+            assert a in res.carrier
             assert fig1.dominates(b, a)
 
 
@@ -135,8 +135,8 @@ def assert_matches_oracle(t):
     res = teq_exact(t)
     teq_set, pairs = teq_oracle(t)
     assert res.teq_set == teq_set
-    assert res.teq_relation.pairs == pairs
-    assert res.teq_relation.carrier == frozenset(range(t.n))
+    assert relation_pairs(res) == pairs
+    assert res.carrier == frozenset(range(t.n))
 
 
 class TestTopCycleRestriction:

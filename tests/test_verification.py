@@ -353,6 +353,28 @@ class TestSweep:
             parse_sweep_report(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("ns=3 mode=bogus checks=nope seed=0 samples=0", "line 1: unknown check 'nope'"),
+            ("ns=3 mode=bogus checks=nonempty seed=0 samples=0", "line 1: unknown mode 'bogus'"),
+            (
+                "ns=8 mode=exhaustive checks=nonempty seed=0 samples=0",
+                "line 1: exhaustive sweep capped at n=7",
+            ),
+            (
+                "ns=3 mode=random checks=nonempty seed=0 samples=0",
+                "line 1: random mode needs a positive sample count",
+            ),
+        ],
+        ids=["check", "mode", "cap", "samples"],
+    )
+    def test_parse_rejects_headers_sweep_rejects(self, header, message):
+        text = f"sweep {header}\ncheck nonempty: pass=8 fail=0\n8 instances, 0 failures\n"
+        with pytest.raises(ValueError) as info:
+            parse_sweep_report(text)
+        assert str(info.value) == message
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError, match="header"):
             parse_sweep_report("not a report\n")
