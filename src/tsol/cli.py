@@ -1,9 +1,8 @@
 """Command-line surface: solve, reduce, verify, sweep, and bench.
 
-Exit codes: 0 success (including UNVERIFIED verdicts, which warn), 1 a
-DISAGREE verdict or sweep counterexamples, 2 input errors and unreadable
-or unwritable paths, 3 time budget exceeded.  All set outputs are sorted
-by name and newline-terminated.
+Exit codes: 0 success, 1 a DISAGREE verdict or sweep counterexamples, 2
+input errors and unreadable or unwritable paths, 3 time budget exceeded.
+All set outputs are sorted by name and newline-terminated.
 """
 
 from __future__ import annotations
@@ -198,12 +197,6 @@ def cmd_verify(args) -> int:
     sat = "true" if verdict.sat else "false"
     member = "true" if verdict.member else "false"
     sys.stdout.write(f"SAT={sat} MEMBER={member} VERDICT={verdict.verdict}\n")
-    if verdict.verdict == "UNVERIFIED":
-        print(
-            "warning: instance above the exact cap, heuristic verdict unverified",
-            file=sys.stderr,
-        )
-        return 0
     return 0 if verdict.verdict == "AGREE" else 1
 
 

@@ -232,6 +232,9 @@ def parse_tournament(text: str) -> Tournament:
                     f"line {lineno}: pair ({names[j]}, {names[i]}) must be "
                     f"dominated in exactly one direction"
                 )
+    for lineno, line in enumerate(lines[n + 2:], start=n + 3):
+        if line.strip():
+            raise ValueError(f"line {lineno}: unexpected text after the matrix")
     return Tournament(names, tuple(rows))
 
 

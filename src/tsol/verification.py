@@ -34,13 +34,17 @@ from tsol.reductions import (
     decision_node,
     teq_gadget,
 )
-from tsol.teq import teq_exact, teq_heuristic, teq_solver
+from tsol.teq import teq_member, teq_solver
 
 SAT_VARIABLE_CAP = 24
 CHOICE_CLAUSE_CAP = 16
-TEQ_EXACT_CLAUSE_CAP = 8  # 12m-7 <= 89 alternatives for the exact verifier
 
 SWEEP_CHECKS = ("condorcet", "heuristic-eq", "nonempty", "single-scc", "teq-in-banks")
+
+
+def _check_clause_cap(f: Cnf) -> None:
+    if f.m > CHOICE_CLAUSE_CAP:
+        raise ValueError(f"{f.m} clauses exceed the choice-set cap {CHOICE_CLAUSE_CAP}")
 
 
 def sat_brute_force(f: Cnf) -> dict[str, bool] | None:
@@ -101,8 +105,7 @@ def iter_consistent_choice_sets(f: Cnf) -> Iterator[ChoiceSet]:
     a prefix is inconsistent too: only consistent prefixes are extended, and
     no consistent set is lost.  The worst case is still 3^m sets.
     """
-    if f.m > CHOICE_CLAUSE_CAP:
-        raise ValueError(f"{f.m} clauses exceed the choice-set cap {CHOICE_CLAUSE_CAP}")
+    _check_clause_cap(f)
     # literal ids: bit 2v for variable v, bit 2v+1 for its negation
     pos = {name: i for i, name in enumerate(f.variables)}
     ids = [tuple(2 * pos[l.variable] + l.negated for l in clause) for clause in f.clauses]
@@ -126,7 +129,12 @@ def consistent_choice_set(f: Cnf) -> ChoiceSet | None:
 
 
 def _satisfiable(f: Cnf) -> bool:
-    """Both oracles, cross-checked; disagreement aborts the run."""
+    """Both oracles, cross-checked; disagreement aborts the run.
+
+    The truth table checks its variable cap first thing; the choice-set
+    cap is checked here, so a formula above it fails before the 2^v sweep.
+    """
+    _check_clause_cap(f)
     by_assignment = sat_brute_force(f) is not None
     by_choice = consistent_choice_set(f) is not None
     if by_assignment != by_choice:
@@ -141,9 +149,12 @@ def _satisfiable(f: Cnf) -> bool:
 class ReductionVerdict:
     sat: bool
     member: bool
-    verdict: str  # AGREE / DISAGREE / UNVERIFIED
-    witness: tuple[str, ...] | None
-    exact: bool
+    witness: tuple[str, ...] | None = None  # the Banks chain of the decision node
+
+    @property
+    def verdict(self) -> str:
+        """AGREE when gadget membership matches satisfiability, else DISAGREE."""
+        return "AGREE" if self.sat == self.member else "DISAGREE"
 
 
 def verify_banks_reduction(f: Cnf) -> ReductionVerdict:
@@ -152,35 +163,17 @@ def verify_banks_reduction(f: Cnf) -> ReductionVerdict:
     layout = banks_gadget(f)
     t = layout.tournament
     chain = banks_member(t, None, decision_node(layout))
-    member = chain is not None
-    return ReductionVerdict(
-        sat=sat,
-        member=member,
-        verdict="AGREE" if sat == member else "DISAGREE",
-        witness=tuple(t.names[i] for i in chain) if chain else None,
-        exact=True,
-    )
+    witness = tuple(t.names[i] for i in chain) if chain else None
+    return ReductionVerdict(sat=sat, member=chain is not None, witness=witness)
 
 
 def verify_teq_reduction(f: Cnf) -> ReductionVerdict:
-    """Satisfiability versus TEQ membership of the decision node.
-
-    Exact up to the clause cap; beyond it the heuristic answers and the
-    verdict is flagged UNVERIFIED instead of being trusted.
-    """
+    """Satisfiability versus exact TEQ membership of the decision node."""
     sat = _satisfiable(f)
     layout = teq_gadget(f)
-    t = layout.tournament
-    d = decision_node(layout)
-    if f.m <= TEQ_EXACT_CLAUSE_CAP:
-        member = d in teq_exact(t).teq_set
-        verdict = "AGREE" if sat == member else "DISAGREE"
-        exact = True
-    else:
-        member = d in teq_heuristic(t).teq_set
-        verdict = "UNVERIFIED"
-        exact = False
-    return ReductionVerdict(sat=sat, member=member, verdict=verdict, witness=None, exact=exact)
+    return ReductionVerdict(
+        sat=sat, member=teq_member(layout.tournament, None, decision_node(layout))
+    )
 
 
 # --- reachability and proof-trace instance checks ------------------------------
@@ -257,10 +250,10 @@ def check_proof_traces(f: Cnf) -> list[tuple[ChoiceSet, ProofTraceResult]]:
     """Proof trace of every consistent choice set, in enumeration order.
 
     All traces share one TEQ gadget and one TEQ memo; an unsatisfiable
-    formula has no consistent choice set and gives ``[]``.
+    formula has no consistent choice set and gives ``[]``.  The cost grows
+    with the number of consistent choice sets (at most 3^m), and the
+    choice-set search's clause cap applies.
     """
-    if f.m > TEQ_EXACT_CLAUSE_CAP:
-        raise ValueError(f"proof trace capped at {TEQ_EXACT_CLAUSE_CAP} clauses")
     layout = teq_gadget(f)
     teq_of = teq_solver(layout.tournament)
     return [(w, _proof_trace(layout, teq_of, w.picks)) for w in iter_consistent_choice_sets(f)]
@@ -408,8 +401,14 @@ def parse_sweep_report(text: str) -> SweepReport:
         _check_sweep_args(ns, checks, fields["mode"], samples, workers=1)
     except ValueError as exc:
         raise ValueError(f"line 1: {exc}") from None
+    if list(checks) != sorted(set(checks)):
+        raise ValueError("line 1: header checks must be sorted and distinct")
+    if fields["mode"] == "exhaustive" and samples != 0:
+        raise ValueError("line 1: an exhaustive report has samples=0")
     passes: dict[str, int] = {}
     failures: dict[str, int] = {}
+    check_lines: dict[str, int] = {}
+    fail_lines = {c: 0 for c in checks}
     counterexamples: list[str] = []
     instances = total = None
     for lineno, line in enumerate(lines[1:], start=2):
@@ -418,22 +417,51 @@ def parse_sweep_report(text: str) -> SweepReport:
             p, _, f = counts.partition(" ")
             if not (p.startswith("pass=") and f.startswith("fail=")):
                 raise ValueError(f"line {lineno}: expected 'check <name>: pass=<n> fail=<n>'")
+            if name not in fail_lines:
+                raise ValueError(f"line {lineno}: check {name!r} is not in the header")
+            if name in check_lines:
+                raise ValueError(f"line {lineno}: second line for check {name!r}")
+            check_lines[name] = lineno
             passes[name] = _report_int(p[len("pass="):], "pass count", lineno)
             failures[name] = _report_int(f[len("fail="):], "fail count", lineno)
         elif line.startswith("FAIL "):
+            name = line[len("FAIL "):].partition(" ")[0]
+            if name not in fail_lines:
+                raise ValueError(f"line {lineno}: FAIL line names no header check")
+            fail_lines[name] += 1
             counterexamples.append(line[len("FAIL "):])
         elif line.endswith("failures"):
+            if instances is not None:
+                raise ValueError(f"line {lineno}: second summary line")
             head, _, tail = line.removesuffix(" failures").partition(" instances, ")
             instances = _report_int(head, "instance count", lineno)
             total = _report_int(tail, "failure count", lineno)
+            summary_line = lineno
         else:
             raise ValueError(f"line {lineno}: unrecognized report line")
     if instances is None:
         raise ValueError("missing summary line")
-    if set(passes) != set(checks):
-        raise ValueError("per-check lines do not match the header checks")
-    if total != sum(failures.values()) or len(counterexamples) != total:
-        raise ValueError("failure counts are inconsistent")
+    want = sum(_instance_count(n, fields["mode"], samples) for n in ns)
+    if instances != want:
+        raise ValueError(
+            f"line {summary_line}: {instances} instances, but the header gives {want}"
+        )
+    for name in checks:
+        if name not in check_lines:
+            raise ValueError(f"missing line for check {name!r}")
+        lineno, p, f = check_lines[name], passes[name], failures[name]
+        if min(p, f) < 0 or p + f != instances:
+            raise ValueError(
+                f"line {lineno}: pass={p} fail={f} do not split {instances} instances"
+            )
+        if f != fail_lines[name]:
+            raise ValueError(
+                f"line {lineno}: fail={f} but {fail_lines[name]} FAIL lines name {name!r}"
+            )
+    if total != len(counterexamples):
+        raise ValueError(
+            f"line {summary_line}: {total} failures but {len(counterexamples)} FAIL lines"
+        )
     return SweepReport(
         ns=ns,
         mode=fields["mode"],
@@ -474,6 +502,10 @@ def _instance_failures(t: Tournament, checks: tuple[str, ...]) -> list[str]:
         if _pykernel.scc_count_masks(teq_mask, in_edges) != 1:
             failed.append("single-scc")
     return failed
+
+
+def _instance_count(n: int, mode: str, samples: int) -> int:
+    return 1 << n * (n - 1) // 2 if mode == "exhaustive" else samples
 
 
 def _random_seed(seed: int, n: int, i: int) -> int:
@@ -536,7 +568,7 @@ def sweep(
 
     tasks = []
     for n in ns:
-        count = (1 << (n * (n - 1) // 2)) if mode == "exhaustive" else samples
+        count = _instance_count(n, mode, samples)
         chunk = max(1, -(-count // workers))
         lo = 0
         while lo < count:

@@ -196,8 +196,9 @@ def unsat_eight_clauses() -> Cnf:
 
 
 def nine_clauses() -> Cnf:
-    """A satisfiable nine-clause formula: the smallest size above the exact
-    TEQ verification cap (101 gadget alternatives)."""
+    """A satisfiable nine-clause formula (101 TEQ gadget alternatives): one
+    clause more than the canonical unsatisfiable eight, and exactly
+    verified like every formula within the SAT oracles' caps."""
     return cnf(
         ("-p", "s", "q"), ("p", "s", "r"), ("p", "q", "-r"),
         ("q", "r", "s"), ("-q", "r", "u"), ("p", "-s", "u"),

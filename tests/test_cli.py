@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -10,7 +11,7 @@ from tsol.core import format_tournament, parse_tournament, random_tournament
 from tsol.reductions import format_dimacs
 from tsol.verification import SweepReport
 
-from oracles import nine_clauses
+from oracles import nine_clauses, random_cnf
 
 
 @pytest.fixture
@@ -264,13 +265,21 @@ class TestVerify:
         assert out == "SAT=true MEMBER=true VERDICT=AGREE\n"
         assert err == ""
 
-    def test_teq_nine_clauses_unverified(self, capsys, tmp_path):
+    def test_teq_nine_clauses_exact(self, capsys, tmp_path):
         f = tmp_path / "nine.cnf"
         f.write_text(format_dimacs(nine_clauses()))
         code, out, err = run(capsys, ["verify", "--input", str(f), "--target", "teq"])
         assert code == 0
-        assert out == "SAT=true MEMBER=true VERDICT=UNVERIFIED\n"
-        assert "unverified" in err
+        assert out == "SAT=true MEMBER=true VERDICT=AGREE\n"
+        assert err == ""
+
+    def test_teq_above_choice_set_cap_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "seventeen.cnf"
+        f.write_text(format_dimacs(random_cnf(Random(3), 17)))
+        code, out, err = run(capsys, ["verify", "--input", str(f), "--target", "teq"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: 17 clauses exceed the choice-set cap 16\n"
 
     def test_disagree_exit_code(self, capsys, fig_cnf_file, monkeypatch):
         from tsol.verification import ReductionVerdict
@@ -278,7 +287,7 @@ class TestVerify:
         monkeypatch.setattr(
             cli,
             "verify_banks_reduction",
-            lambda f: ReductionVerdict(True, False, "DISAGREE", None, True),
+            lambda f: ReductionVerdict(sat=True, member=False),
         )
         code, out, _ = run(capsys, ["verify", "--input", fig_cnf_file, "--target", "banks"])
         assert code == 1

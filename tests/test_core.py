@@ -292,6 +292,16 @@ class TestTextFormat:
             parse_tournament("tournament 4\na b c d\n-111\n0-11\n00-1\n001-\n")
         assert str(pair.value) == "line 6: pair (c, d) must be dominated in exactly one direction"
 
+    def test_text_after_the_matrix(self):
+        # two concatenated tournaments must not silently solve the first
+        with pytest.raises(ValueError) as extra:
+            parse_tournament("tournament 2\na b\n-1\n0-\ngarbage here\n")
+        assert str(extra.value) == "line 5: unexpected text after the matrix"
+        with pytest.raises(ValueError, match="^line 6: "):
+            parse_tournament("tournament 2\na b\n-1\n0-\n\ntournament 1\nz\n-\n")
+        t = parse_tournament("tournament 2\na b\n-1\n0-\n\n  \n")
+        assert t.names == ("a", "b") and t.rows == (0b10, 0)
+
     @pytest.mark.parametrize("matrix", ["-1\n1-\n", "-1\nx-\n"])
     def test_duplicate_name_wins_over_later_matrix_error(self, matrix):
         with pytest.raises(ValueError) as dup:

@@ -139,21 +139,36 @@ class TestBanksReduction:
 class TestTeqReduction:
     def test_single_clause(self):
         v = verify_teq_reduction(cnf(("p", "q", "r")))
-        assert (v.sat, v.member, v.verdict, v.exact) == (True, True, "AGREE", True)
+        assert (v.sat, v.member, v.verdict) == (True, True, "AGREE")
 
     def test_two_clauses(self):
         v = verify_teq_reduction(cnf(("p", "q", "r"), ("-p", "-q", "s")))
-        assert v.verdict == "AGREE" and v.exact
+        assert v.verdict == "AGREE"
 
     def test_three_clauses_exact(self, fig_cnf):
         v = verify_teq_reduction(fig_cnf)
-        assert (v.sat, v.member, v.verdict, v.exact) == (True, True, "AGREE", True)
+        assert (v.sat, v.member, v.verdict) == (True, True, "AGREE")
 
-    def test_nine_clauses_unverified(self):
+    def test_nine_clauses_exact(self):
         v = verify_teq_reduction(nine_clauses())
-        assert v.verdict == "UNVERIFIED"
-        assert not v.exact
-        assert v.sat and v.member
+        assert (v.sat, v.member, v.verdict) == (True, True, "AGREE")
+
+    def test_unsat_nine_clauses_exact(self):
+        # the canonical eight plus one clause: d must leave the exact TEQ
+        f = Cnf(unsat_eight_clauses().clauses + cnf(("p", "q", "s")).clauses)
+        v = verify_teq_reduction(f)
+        assert (v.sat, v.member, v.verdict) == (False, False, "AGREE")
+
+    @pytest.mark.parametrize("verify", [verify_banks_reduction, verify_teq_reduction])
+    def test_clause_cap_checked_before_either_oracle(self, monkeypatch, verify):
+        def no_oracle(_):
+            raise AssertionError("an oracle ran before the clause cap was checked")
+
+        monkeypatch.setattr(tsol.verification, "sat_brute_force", no_oracle)
+        monkeypatch.setattr(tsol.verification, "consistent_choice_set", no_oracle)
+        with pytest.raises(ValueError) as info:
+            verify(random_cnf(Random(3), 17))
+        assert str(info.value) == "17 clauses exceed the choice-set cap 16"
 
 
 class TestChainReachability:
@@ -232,9 +247,17 @@ class TestProofTrace:
     def test_unsatisfiable_formula_has_no_traces(self):
         assert check_proof_traces(unsat_eight_clauses()) == []
 
+    def test_nine_clauses_all_ok(self):
+        traces = check_proof_traces(nine_clauses())
+        assert [w for w, _ in traces] == list(iter_consistent_choice_sets(nine_clauses()))
+        assert len(traces) == 284
+        for _, res in traces:
+            assert res.ok, res.failures
+            assert res.levels == 4 * 9 - 2
+
     def test_rejects_above_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            check_proof_traces(nine_clauses())
+        with pytest.raises(ValueError, match="17 clauses exceed the choice-set cap 16"):
+            check_proof_traces(random_cnf(Random(3), 17))
 
     @staticmethod
     def flipped_trace(monkeypatch, x, y):
@@ -320,6 +343,7 @@ class TestSweep:
         assert "FAIL nonempty n=5 bits=17" in text
         assert text.endswith("1024 instances, 1 failures\n")
         assert "duration" not in text
+        assert parse_sweep_report(text).serialize() == text
 
     def test_serialize_round_trip(self):
         for report in (sweep([3]), sweep([6, 4], mode="random", samples=7, seed=2)):
@@ -371,6 +395,90 @@ class TestSweep:
     )
     def test_parse_rejects_headers_sweep_rejects(self, header, message):
         text = f"sweep {header}\ncheck nonempty: pass=8 fail=0\n8 instances, 0 failures\n"
+        with pytest.raises(ValueError) as info:
+            parse_sweep_report(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "check nonempty: pass=8 fail=0\ncheck nonempty: pass=7 fail=1\n"
+                "FAIL nonempty n=3 bits=0\n8 instances, 1 failures\n",
+                "line 3: second line for check 'nonempty'",
+            ),
+            (
+                "check nonempty: pass=100 fail=0\n8 instances, 0 failures\n",
+                "line 2: pass=100 fail=0 do not split 8 instances",
+            ),
+            (
+                "check nonempty: pass=-1 fail=9\n" + "FAIL nonempty n=3 bits=0\n" * 9
+                + "8 instances, 9 failures\n",
+                "line 2: pass=-1 fail=9 do not split 8 instances",
+            ),
+            (
+                "check nonempty: pass=7 fail=1\nFAIL condorcet n=3 bits=0\n"
+                "8 instances, 1 failures\n",
+                "line 3: FAIL line names no header check",
+            ),
+            (
+                "check nonempty: pass=7 fail=1\n8 instances, 1 failures\n",
+                "line 2: fail=1 but 0 FAIL lines name 'nonempty'",
+            ),
+            (
+                "check condorcet: pass=8 fail=0\n8 instances, 0 failures\n",
+                "line 2: check 'condorcet' is not in the header",
+            ),
+            ("8 instances, 0 failures\n", "missing line for check 'nonempty'"),
+            (
+                "check nonempty: pass=8 fail=0\n8 instances, 0 failures\n"
+                "9 instances, 0 failures\n",
+                "line 4: second summary line",
+            ),
+            (
+                "check nonempty: pass=8 fail=0\n8 instances, 1 failures\n",
+                "line 3: 1 failures but 0 FAIL lines",
+            ),
+            (
+                "check nonempty: pass=0 fail=0\n0 instances, 0 failures\n",
+                "line 3: 0 instances, but the header gives 8",
+            ),
+        ],
+        ids=[
+            "duplicate", "count-sum", "negative", "fail-check", "fail-count",
+            "extra-check", "missing-check", "two-summaries", "total", "instances",
+        ],
+    )
+    def test_parse_rejects_reports_no_sweep_writes(self, body, message):
+        header = "sweep ns=3 mode=exhaustive checks=nonempty seed=0 samples=0\n"
+        with pytest.raises(ValueError) as info:
+            parse_sweep_report(header + body)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                "checks=nonempty,nonempty samples=0",
+                "line 1: header checks must be sorted and distinct",
+            ),
+            (
+                "checks=nonempty,condorcet samples=0",
+                "line 1: header checks must be sorted and distinct",
+            ),
+            (
+                "checks=condorcet,nonempty samples=5",
+                "line 1: an exhaustive report has samples=0",
+            ),
+        ],
+        ids=["duplicate", "unsorted", "samples"],
+    )
+    def test_parse_rejects_headers_no_sweep_writes(self, fields, message):
+        text = (
+            f"sweep ns=3 mode=exhaustive seed=0 {fields}\n"
+            "check condorcet: pass=8 fail=0\ncheck nonempty: pass=8 fail=0\n"
+            "8 instances, 0 failures\n"
+        )
         with pytest.raises(ValueError) as info:
             parse_sweep_report(text)
         assert str(info.value) == message
