@@ -1,16 +1,14 @@
 """Tournament solutions and the 3CNF gadget machinery around them."""
 
 from tsol import _pykernel
-from tsol.banks import banks_member, banks_set, is_top_extendable
+from tsol.banks import banks_member, banks_set
 from tsol.core import (
     Tournament,
-    condorcet_winner,
     enumerate_tournaments,
     format_tournament,
     parse_tournament,
     random_tournament,
     tournament_from_bits,
-    tournament_to_dot,
 )
 from tsol.reductions import (
     Cnf,
@@ -30,12 +28,10 @@ from tsol.reductions import (
 from tsol.teq import TeqResult, TeqStats, teq_exact, teq_heuristic, teq_member, teq_trace
 from tsol.verification import (
     SWEEP_CHECKS,
-    ChoiceSet,
     ReductionVerdict,
     SweepReport,
     check_chain_reachability,
     check_proof_traces,
-    choice_set,
     consistent_choice_set,
     iter_consistent_choice_sets,
     parse_sweep_report,
@@ -61,7 +57,6 @@ __all__ = [
     "GadgetLayout",
     "TeqResult",
     "TeqStats",
-    "ChoiceSet",
     "ReductionVerdict",
     "SweepReport",
     "SWEEP_CHECKS",
@@ -71,15 +66,12 @@ __all__ = [
     "banks_set",
     "check_chain_reachability",
     "check_proof_traces",
-    "choice_set",
     "cnf",
-    "condorcet_winner",
     "consistent_choice_set",
     "decision_node",
     "enumerate_tournaments",
     "format_dimacs",
     "format_tournament",
-    "is_top_extendable",
     "iter_consistent_choice_sets",
     "layout_labels",
     "layout_to_dot",
@@ -97,7 +89,6 @@ __all__ = [
     "teq_member",
     "teq_trace",
     "tournament_from_bits",
-    "tournament_to_dot",
     "validate_layout",
     "verify_banks_reduction",
     "verify_teq_reduction",

@@ -16,32 +16,6 @@ from tsol import _pykernel
 from tsol.core import Tournament, set_of, subset_mask
 
 
-def is_top_extendable(
-    t: Tournament, chain: tuple[int, ...], x: Iterable[int] | None = None
-) -> int | None:
-    """Lowest-index alternative in ``x`` dominating every chain element, if any."""
-    mask = subset_mask(t, x)
-    _check_chain(t, chain, mask)
-    doms = mask
-    for c in chain:
-        doms &= t.cols[c]
-    if doms == 0:
-        return None
-    return (doms & -doms).bit_length() - 1
-
-
-def _check_chain(t: Tournament, chain: tuple[int, ...], mask: int) -> None:
-    if not chain:
-        raise ValueError("chain must be nonempty")
-    for c in chain:
-        if not mask >> c & 1:
-            raise ValueError(f"chain element {c} outside the carrier")
-    for i, c in enumerate(chain):
-        for d in chain[i + 1 :]:
-            if not t.dominates(c, d):
-                raise ValueError("chain is not in decreasing dominance order")
-
-
 def banks_member(
     t: Tournament, x: Iterable[int] | None, a: int
 ) -> tuple[int, ...] | None:

@@ -37,6 +37,9 @@ DEFAULT_SEED = 20240
 
 METHODS = ("teq-exact", "teq-heuristic", "banks", "topcycle")
 
+# one day; far larger budgets overflow the pipe's poll timeout
+TIME_BUDGET_CAP_MS = 86_400_000
+
 
 def _parse_sizes(text: str) -> list[int]:
     """Sizes as comma-separated items; each item is an int or lo..hi."""
@@ -151,6 +154,8 @@ def cmd_solve(args) -> int:
             raise ValueError("--trace depth must be nonnegative")
     if args.time_budget_ms < 0:
         raise ValueError("--time-budget-ms must be nonnegative")
+    if args.time_budget_ms > TIME_BUDGET_CAP_MS:
+        raise ValueError(f"--time-budget-ms exceeds the cap {TIME_BUDGET_CAP_MS} (one day)")
     t = parse_tournament(Path(args.input).read_text())
     if args.time_budget_ms:
         from multiprocessing import get_context

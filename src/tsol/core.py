@@ -116,17 +116,6 @@ def subset_mask(t: Tournament, x: Iterable[int] | None) -> int:
     return m
 
 
-def condorcet_winner(t: Tournament, x: Iterable[int]) -> int | None:
-    """The alternative in ``x`` beating all others in ``x``, if it exists."""
-    mask = subset_mask(t, x)
-    if mask == 0:
-        raise ValueError("empty subset has no winner")
-    for a in _mask_iter(mask):
-        if t.cols[a] & mask == 0:
-            return a
-    return None
-
-
 def tournament_from_bits(n: int, bits: int, names: tuple[str, ...] | None = None) -> Tournament:
     """Build the labeled tournament encoded by an upper-triangle bit pattern.
 
@@ -236,15 +225,3 @@ def parse_tournament(text: str) -> Tournament:
         if line.strip():
             raise ValueError(f"line {lineno}: unexpected text after the matrix")
     return Tournament(names, tuple(rows))
-
-
-def tournament_to_dot(t: Tournament) -> str:
-    """DOT digraph with one edge per dominant pair."""
-    lines = ["digraph tournament {"]
-    for name in t.names:
-        lines.append(f'  "{name}";')
-    for i in range(t.n):
-        for j in _mask_iter(t.rows[i]):
-            lines.append(f'  "{t.names[i]}" -> "{t.names[j]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

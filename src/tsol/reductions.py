@@ -33,9 +33,6 @@ class Literal:
     variable: str
     negated: bool = False
 
-    def complement(self) -> "Literal":
-        return Literal(self.variable, not self.negated)
-
     def __str__(self) -> str:
         return ("-" if self.negated else "") + self.variable
 

@@ -21,7 +21,6 @@ from tsol.banks import banks_member
 from tsol.core import (
     ENUMERATION_CAP,
     Tournament,
-    condorcet_winner,
     random_tournament,
     set_of,
     subset_mask,
@@ -38,6 +37,7 @@ from tsol.teq import teq_member, teq_solver
 
 SAT_VARIABLE_CAP = 24
 CHOICE_CLAUSE_CAP = 16
+SWEEP_WORKER_CAP = 256
 
 SWEEP_CHECKS = ("condorcet", "heuristic-eq", "nonempty", "single-scc", "teq-in-banks")
 
@@ -74,28 +74,11 @@ def sat_brute_force(f: Cnf) -> dict[str, bool] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ChoiceSet:
-    """One picked literal position (0..2) per clause."""
-
-    picks: tuple[int, ...]
-    consistent: bool
-
-
-def choice_set(f: Cnf, picks: Sequence[int]) -> ChoiceSet:
-    if len(picks) != f.m:
-        raise ValueError(f"expected {f.m} picks, got {len(picks)}")
-    if any(not 0 <= p <= 2 for p in picks):
-        raise ValueError("picks must be literal positions 0..2")
-    chosen = [f.clauses[i][p] for i, p in enumerate(picks)]
-    consistent = not any(
-        a == b.complement() for i, a in enumerate(chosen) for b in chosen[i + 1 :]
-    )
-    return ChoiceSet(tuple(picks), consistent)
-
-
-def iter_consistent_choice_sets(f: Cnf) -> Iterator[ChoiceSet]:
+def iter_consistent_choice_sets(f: Cnf) -> Iterator[tuple[int, ...]]:
     """Every consistent choice set, in lexicographic pick order.
+
+    A choice set is one picked literal position (0..2) per clause; it is
+    consistent when no two picked literals are complementary.
 
     The order is that of ``itertools.product(range(3), repeat=f.m)`` with
     the inconsistent picks left out.  The search runs depth first over the
@@ -111,9 +94,9 @@ def iter_consistent_choice_sets(f: Cnf) -> Iterator[ChoiceSet]:
     ids = [tuple(2 * pos[l.variable] + l.negated for l in clause) for clause in f.clauses]
     picks = [0] * f.m
 
-    def extend(i: int, taken: int) -> Iterator[ChoiceSet]:
+    def extend(i: int, taken: int) -> Iterator[tuple[int, ...]]:
         if i == f.m:
-            yield ChoiceSet(tuple(picks), True)
+            yield tuple(picks)
             return
         for p, lit in enumerate(ids[i]):
             if not taken >> (lit ^ 1) & 1:
@@ -123,7 +106,7 @@ def iter_consistent_choice_sets(f: Cnf) -> Iterator[ChoiceSet]:
     yield from extend(0, 0)
 
 
-def consistent_choice_set(f: Cnf) -> ChoiceSet | None:
+def consistent_choice_set(f: Cnf) -> tuple[int, ...] | None:
     """First consistent choice set in lexicographic pick order, or None."""
     return next(iter_consistent_choice_sets(f), None)
 
@@ -246,7 +229,7 @@ class ProofTraceResult:
     failures: tuple[str, ...]
 
 
-def check_proof_traces(f: Cnf) -> list[tuple[ChoiceSet, ProofTraceResult]]:
+def check_proof_traces(f: Cnf) -> list[tuple[tuple[int, ...], ProofTraceResult]]:
     """Proof trace of every consistent choice set, in enumeration order.
 
     All traces share one TEQ gadget and one TEQ memo; an unsatisfiable
@@ -256,7 +239,9 @@ def check_proof_traces(f: Cnf) -> list[tuple[ChoiceSet, ProofTraceResult]]:
     """
     layout = teq_gadget(f)
     teq_of = teq_solver(layout.tournament)
-    return [(w, _proof_trace(layout, teq_of, w.picks)) for w in iter_consistent_choice_sets(f)]
+    return [
+        (picks, _proof_trace(layout, teq_of, picks)) for picks in iter_consistent_choice_sets(f)
+    ]
 
 
 def _proof_trace(
@@ -311,7 +296,7 @@ def _proof_trace(
         failures.append(f"tower level {empty[-1]} is empty")
         return ProofTraceResult(ok=False, levels=n + 1, failures=tuple(failures))
 
-    if condorcet_winner(t, set_of(tower[1])) != d:
+    if not tower[1] >> d & 1 or t.cols[d] & tower[1]:
         failures.append("decision node is not the winner of the innermost level")
 
     def step(b: int, a: int, x: int) -> bool:
@@ -540,8 +525,8 @@ def _check_sweep_args(
         raise ValueError("no checks selected")
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not 1 <= workers <= SWEEP_WORKER_CAP:
+        raise ValueError(f"workers must be between 1 and {SWEEP_WORKER_CAP}")
     if not ns:
         raise ValueError("no sizes given")
     for n in ns:
@@ -582,7 +567,7 @@ def sweep(
     else:
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(workers) as pool:
+        with get_context("fork").Pool(min(workers, len(tasks))) as pool:
             partials = pool.map(_sweep_task, tasks)
     duration = time.perf_counter() - start
 

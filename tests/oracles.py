@@ -46,6 +46,21 @@ def banks_oracle(t: Tournament, universe=None) -> frozenset[int]:
     return frozenset(winners)
 
 
+def top_extenders(t: Tournament, chain, universe=None) -> frozenset[int]:
+    """The alternatives of ``universe`` outside ``chain`` that beat every
+    chain element: the chain is maximal at the top iff this is empty."""
+    universe = universe if universe is not None else range(t.n)
+    return frozenset(
+        a for a in universe if a not in chain and all(t.dominates(a, c) for c in chain)
+    )
+
+
+def condorcet_winner(t: Tournament, x) -> int | None:
+    """The member of ``x`` that beats every other member, if there is one."""
+    x = set(x)
+    return next((a for a in x if all(t.dominates(a, b) for b in x if b != a)), None)
+
+
 def restrict(t: Tournament, keep) -> Tournament:
     """Sub-tournament induced by ``keep``, in index order, built pair by pair."""
     keep = sorted(set(keep))
@@ -206,21 +221,18 @@ def nine_clauses() -> Cnf:
     )
 
 
-def choice_sets_oracle(f: Cnf) -> list[tuple[int, ...]]:
-    """Consistent choice sets by enumeration, in ``itertools.product`` order.
+def is_consistent(f: Cnf, picks) -> bool:
+    """No two picked literals share a variable with opposite signs."""
+    chosen = [f.clauses[i][p] for i, p in enumerate(picks)]
+    return not any(
+        a.variable == b.variable and a.negated != b.negated for a, b in combinations(chosen, 2)
+    )
 
-    A pick tuple is kept when no two picked literals share a variable with
-    opposite signs; nothing is pruned.
-    """
-    out = []
-    for picks in product(range(3), repeat=f.m):
-        chosen = [f.clauses[i][p] for i, p in enumerate(picks)]
-        if not any(
-            a.variable == b.variable and a.negated != b.negated
-            for a, b in combinations(chosen, 2)
-        ):
-            out.append(picks)
-    return out
+
+def choice_sets_oracle(f: Cnf) -> list[tuple[int, ...]]:
+    """Consistent choice sets by enumeration, in ``itertools.product`` order;
+    nothing is pruned."""
+    return [picks for picks in product(range(3), repeat=f.m) if is_consistent(f, picks)]
 
 
 def evaluate(f: Cnf, assignment: dict[str, bool]) -> bool:

@@ -47,6 +47,13 @@ class TestSolve:
         code, out, _ = run(capsys, ["solve", "--input", fig1_file, "--method", "topcycle"])
         assert (code, out) == (0, "a b c d e\n")
 
+    @pytest.mark.parametrize("member, answer", [("a", "true"), ("b", "false")])
+    def test_topcycle_member(self, capsys, data_dir, member, answer):
+        # the top cycle of this tournament is a c d e
+        argv = ["solve", "--input", str(data_dir / "random_5_42.txt"), "--method", "topcycle"]
+        code, out, _ = run(capsys, argv + ["--member", member])
+        assert (code, out) == (0, answer + "\n")
+
     def test_banks_member_false(self, capsys, fig1_file):
         code, out, _ = run(
             capsys,
@@ -158,6 +165,23 @@ class TestSolve:
             ["solve", "--input", str(tmp_path / "nope.txt"), "--time-budget-ms", "-5"],
         )
         assert (code, out, err) == (2, "", "error: --time-budget-ms must be nonnegative\n")
+
+    @pytest.mark.parametrize("name", ["fig1.txt", "nope.txt"])
+    def test_time_budget_above_cap_rejected_before_reading(self, capsys, data_dir, name):
+        # a budget this large used to overflow the pipe's poll timeout
+        code, out, err = run(
+            capsys,
+            ["solve", "--input", str(data_dir / name), "--time-budget-ms", str(10**20)],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --time-budget-ms exceeds the cap 86400000 (one day)\n"
+
+    def test_time_budget_at_cap_accepted(self, capsys, fig1_file):
+        code, out, _ = run(
+            capsys,
+            ["solve", "--input", fig1_file, "--method", "banks", "--time-budget-ms", "86400000"],
+        )
+        assert (code, out) == (0, "a b c d\n")
 
     def test_time_budget_met(self, capsys, fig1_file):
         code, out, _ = run(
@@ -349,6 +373,15 @@ class TestSweepCommand:
         code, _, err = run(capsys, ["sweep", "--n", "9"])
         assert code == 2
         assert "capped" in err
+
+    def test_worker_cap_exit_2(self, capsys, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a process context was asked for")
+
+        # refused before any process could start
+        monkeypatch.setattr("multiprocessing.get_context", no_pool)
+        code, out, err = run(capsys, ["sweep", "--n", "7", "--workers", "100000"])
+        assert (code, out, err) == (2, "", "error: workers must be between 1 and 256\n")
 
     def test_failure_exit_1(self, capsys, monkeypatch):
         fake = SweepReport(

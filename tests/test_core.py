@@ -8,16 +8,20 @@ from hypothesis import strategies as st
 from tsol import _pykernel
 from tsol.core import (
     Tournament,
-    condorcet_winner,
     enumerate_tournaments,
     format_tournament,
     parse_tournament,
     random_tournament,
     tournament_from_bits,
-    tournament_to_dot,
 )
 
-from oracles import restrict, scc_count, source_components, transitive_by_triples
+from oracles import (
+    condorcet_winner,
+    restrict,
+    scc_count,
+    source_components,
+    transitive_by_triples,
+)
 
 
 def idx(t, *names):
@@ -307,12 +311,6 @@ class TestTextFormat:
         with pytest.raises(ValueError) as dup:
             parse_tournament("tournament 2\na a\n" + matrix)
         assert str(dup.value) == "line 2: duplicate alternative name 'a'"
-
-
-def test_dot_export(fig1):
-    dot = tournament_to_dot(fig1)
-    assert dot.count("->") == 10
-    assert '"a" -> "b"' in dot
 
 
 def test_public_names_resolve():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from tsol import _pykernel
 from tsol.banks import banks_set
 from tsol.core import (
-    condorcet_winner,
     enumerate_tournaments,
     random_tournament,
     tournament_from_bits,
@@ -15,7 +14,14 @@ from tsol.core import (
 from tsol.reductions import Cnf, teq_gadget
 from tsol.teq import teq_exact, teq_heuristic, teq_member, teq_solver, teq_trace
 
-from oracles import all_clauses, random_cnf, relation_pairs, source_components, teq_oracle
+from oracles import (
+    all_clauses,
+    condorcet_winner,
+    random_cnf,
+    relation_pairs,
+    source_components,
+    teq_oracle,
+)
 
 
 def idx(t, *names):

@@ -8,7 +8,6 @@ from tsol.verification import (
     SweepReport,
     check_chain_reachability,
     check_proof_traces,
-    choice_set,
     consistent_choice_set,
     iter_consistent_choice_sets,
     parse_sweep_report,
@@ -24,6 +23,7 @@ from oracles import (
     choice_sets_oracle,
     evaluate,
     flip_edges,
+    is_consistent,
     nine_clauses,
     random_cnf,
     reachability_oracle,
@@ -60,24 +60,19 @@ class TestSatOracle:
 class TestChoiceSets:
     def test_fig_formula(self, fig_cnf):
         c = consistent_choice_set(fig_cnf)
-        assert c is not None and c.consistent
+        assert c is not None and is_consistent(fig_cnf, c)
 
     def test_eight_clause_has_none(self):
         assert consistent_choice_set(unsat_eight_clauses()) is None
 
     def test_single_clause(self):
-        assert consistent_choice_set(cnf(("p", "q", "r"))).picks == (0,)
-
-    def test_validation(self, fig_cnf):
-        with pytest.raises(ValueError):
-            choice_set(fig_cnf, (0, 1))
-        with pytest.raises(ValueError):
-            choice_set(fig_cnf, (0, 1, 5))
+        assert consistent_choice_set(cnf(("p", "q", "r"))) == (0,)
 
     def test_inconsistent_flag(self):
         f = cnf(("p", "q", "r"), ("-p", "-q", "-r"))
-        assert not choice_set(f, (0, 0)).consistent
-        assert choice_set(f, (0, 1)).consistent
+        found = list(iter_consistent_choice_sets(f))
+        assert (0, 0) not in found
+        assert (0, 1) in found
 
     def test_agrees_with_assignment_oracle(self):
         rng = Random(7)
@@ -91,16 +86,14 @@ class TestPrunedChoiceSearch:
 
     def test_matches_oracle_on_all_two_clause_formulas(self):
         for f in all_formulas_m2():
-            assert [c.picks for c in iter_consistent_choice_sets(f)] == choice_sets_oracle(f)
+            assert list(iter_consistent_choice_sets(f)) == choice_sets_oracle(f)
 
     def test_matches_oracle_on_seeded_formulas(self):
         rng = Random(20241)
         for m in range(3, 7):
             for _ in range(40):
                 f = random_cnf(rng, m)
-                got = list(iter_consistent_choice_sets(f))
-                assert all(c.consistent for c in got)
-                assert [c.picks for c in got] == choice_sets_oracle(f)
+                assert list(iter_consistent_choice_sets(f)) == choice_sets_oracle(f)
 
     def test_sixteen_clause_satisfiable_formula(self):
         # satisfiable, but its first consistent set lies deep in the 3^16 pick order
@@ -109,8 +102,7 @@ class TestPrunedChoiceSearch:
             random_cnf(rng, m)
         f = random_cnf(rng, 16)
         c = consistent_choice_set(f)
-        assert c is not None and c.consistent
-        assert choice_set(f, c.picks).consistent
+        assert c is not None and is_consistent(f, c)
 
     def test_cap(self):
         with pytest.raises(ValueError, match="choice-set cap"):
@@ -230,7 +222,7 @@ class TestProofTrace:
     def test_m1_each_pick(self):
         f = cnf(("p", "q", "r"))
         traces = check_proof_traces(f)
-        assert [w.picks for w, _ in traces] == [(0,), (1,), (2,)]
+        assert [picks for picks, _ in traces] == [(0,), (1,), (2,)]
         for _, res in traces:
             assert res.ok, res.failures
             assert res.levels == 2
@@ -238,7 +230,7 @@ class TestProofTrace:
     def test_m2_all_consistent_choices(self):
         f = cnf(("p", "q", "r"), ("-p", "-q", "s"))
         traces = check_proof_traces(f)
-        assert [w for w, _ in traces] == list(iter_consistent_choice_sets(f))
+        assert [picks for picks, _ in traces] == choice_sets_oracle(f)
         for _, res in traces:
             assert res.ok, res.failures
             assert res.levels == 6
@@ -249,7 +241,7 @@ class TestProofTrace:
 
     def test_nine_clauses_all_ok(self):
         traces = check_proof_traces(nine_clauses())
-        assert [w for w, _ in traces] == list(iter_consistent_choice_sets(nine_clauses()))
+        assert [picks for picks, _ in traces] == choice_sets_oracle(nine_clauses())
         assert len(traces) == 284
         for _, res in traces:
             assert res.ok, res.failures
@@ -266,7 +258,7 @@ class TestProofTrace:
         t = layout.tournament
         bad = flip_edges(layout, [(t.index(x), t.index(y))])
         monkeypatch.setattr(tsol.verification, "teq_gadget", lambda _: bad)
-        return dict(check_proof_traces(f))[choice_set(f, (0, 1))]
+        return dict(check_proof_traces(f))[(0, 1)]
 
     def test_reports_broken_step(self, monkeypatch):
         res = self.flipped_trace(monkeypatch, "c1", "y1")
@@ -281,6 +273,19 @@ class TestProofTrace:
         res = self.flipped_trace(monkeypatch, "d", "x1_1")
         assert not res.ok and res.levels == 6
         assert res.failures == ("chain node c0 wrong in tower 1", "tower level 1 is empty")
+
+    def test_reports_lost_condorcet_winner(self, monkeypatch):
+        # c1 now beats x1_1, so it joins the innermost level, where it beats d
+        res = self.flipped_trace(monkeypatch, "c1", "x1_1")
+        assert not res.ok and res.levels == 6
+        assert res.failures == (
+            "chain node c1 wrong in tower 1",
+            "decision node is not the winner of the innermost level",
+            "step relation misses x1_1 => c1 at level 2",
+            "decision node leaves the TEQ at tower level 1",
+            "decision node leaves the TEQ at tower level 2",
+            "decision node leaves the TEQ at tower level 3",
+        )
 
 
 class TestSweep:
@@ -319,6 +324,38 @@ class TestSweep:
             sweep([3], mode="random")
         with pytest.raises(ValueError, match="workers"):
             sweep([3], workers=0)
+
+    def test_pool_size_bounded_by_task_count(self, monkeypatch):
+        asked = []
+
+        class FakePool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr("multiprocessing.get_context", lambda method: FakeContext())
+        many = sweep([3], workers=64)  # 8 instances, so 8 one-instance tasks
+        assert asked == [8]
+        assert many.serialize() == sweep([3], workers=1).serialize()
+
+    def test_worker_cap_checked_before_any_pool(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a process context was asked for")
+
+        monkeypatch.setattr("multiprocessing.get_context", no_pool)
+        with pytest.raises(ValueError, match="^workers must be between 1 and 256$"):
+            sweep([3], workers=10**6)
 
     def test_empty_size_list_rejected(self):
         # its report would carry the header ns=, which no parser can read back
