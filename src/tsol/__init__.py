@@ -34,7 +34,6 @@ from tsol.verification import (
     check_proof_traces,
     consistent_choice_set,
     iter_consistent_choice_sets,
-    parse_sweep_report,
     sample_chain_reachability,
     sat_brute_force,
     sweep,
@@ -77,7 +76,6 @@ __all__ = [
     "layout_to_dot",
     "lit",
     "parse_dimacs",
-    "parse_sweep_report",
     "parse_tournament",
     "random_tournament",
     "sample_chain_reachability",

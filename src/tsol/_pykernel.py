@@ -291,10 +291,13 @@ def _mask_iter(mask: int):
 # --- Banks set ----------------------------------------------------------------
 
 
-def _banks_chain(
+def banks_member_masks(
     rows: Sequence[int], cols: Sequence[int], x_mask: int, a: int
 ) -> tuple[int, ...] | None:
-    """Depth-first search over dominance-decreasing chains headed by ``a``;
+    """Chain witness for Banks membership of ``a`` within the carrier,
+    given the row and column masks; ``a`` must be in the carrier.
+
+    Depth-first search over dominance-decreasing chains headed by ``a``;
     succeeds on the first chain no outside alternative dominates entirely."""
     chain = [a]
 
@@ -321,16 +324,6 @@ def _banks_chain(
     return None
 
 
-def banks_member_masks(
-    rows: Sequence[int], cols: Sequence[int], x_mask: int, a: int
-) -> tuple[int, ...] | None:
-    """Chain witness for Banks membership of ``a`` within the carrier,
-    given the row and column masks."""
-    if not x_mask >> a & 1:
-        raise ValueError("queried alternative not in the carrier")
-    return _banks_chain(rows, cols, x_mask, a)
-
-
 def banks_set_masks(rows: Sequence[int], cols: Sequence[int], x_mask: int) -> int:
     """Banks set of the carrier, given the row and column masks."""
     if x_mask == 0:
@@ -341,6 +334,6 @@ def banks_set_masks(rows: Sequence[int], cols: Sequence[int], x_mask: int) -> in
         low = m & -m
         a = low.bit_length() - 1
         m &= m - 1
-        if _banks_chain(rows, cols, x_mask, a) is not None:
+        if banks_member_masks(rows, cols, x_mask, a) is not None:
             res |= low
     return res

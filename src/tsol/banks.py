@@ -23,8 +23,7 @@ def banks_member(
     mask = subset_mask(t, x)
     if a < 0 or not mask >> a & 1:
         raise ValueError(f"alternative {a} not in the queried subset")
-    chain = _pykernel.banks_member_masks(t.rows, t.cols, mask, a)
-    return tuple(chain) if chain is not None else None
+    return _pykernel.banks_member_masks(t.rows, t.cols, mask, a)
 
 
 def banks_set(t: Tournament, x: Iterable[int] | None = None) -> frozenset[int]:

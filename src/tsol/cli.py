@@ -40,6 +40,9 @@ METHODS = ("teq-exact", "teq-heuristic", "banks", "topcycle")
 # one day; far larger budgets overflow the pipe's poll timeout
 TIME_BUDGET_CAP_MS = 86_400_000
 
+# sizes per --n or --sizes list, checked before a range is expanded
+SIZES_CAP = 1000
+
 
 def _parse_sizes(text: str) -> list[int]:
     """Sizes as comma-separated items; each item is an int or lo..hi."""
@@ -54,6 +57,8 @@ def _parse_sizes(text: str) -> list[int]:
             raise ValueError(f"bad size {item!r}: expected n or lo..hi") from None
         if hi < lo:
             raise ValueError(f"empty range {item!r}")
+        if len(sizes) + hi - lo + 1 > SIZES_CAP:
+            raise ValueError(f"size item {item!r} takes the size list past its cap {SIZES_CAP}")
         sizes.extend(range(lo, hi + 1))
     return sizes
 

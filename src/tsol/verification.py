@@ -357,111 +357,6 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _report_int(text: str, what: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"line {lineno}: {what} {text!r} is not an integer") from None
-
-
-def parse_sweep_report(text: str) -> SweepReport:
-    """Read a serialized report back; worker count and timing are not stored."""
-    lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith("sweep "):
-        raise ValueError("line 1: expected 'sweep' header")
-    fields = {}
-    for part in lines[0][len("sweep "):].split():
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise ValueError(f"line 1: header field {part!r} has no '='")
-        fields[key] = value
-    for key in ("ns", "mode", "checks", "seed", "samples"):
-        if key not in fields:
-            raise ValueError(f"line 1: missing header field {key!r}")
-    ns = tuple(_report_int(x, "size", 1) for x in fields["ns"].split(","))
-    seed = _report_int(fields["seed"], "seed", 1)
-    samples = _report_int(fields["samples"], "samples", 1)
-    checks = tuple(fields["checks"].split(","))
-    try:
-        _check_sweep_args(ns, checks, fields["mode"], samples, workers=1)
-    except ValueError as exc:
-        raise ValueError(f"line 1: {exc}") from None
-    if list(checks) != sorted(set(checks)):
-        raise ValueError("line 1: header checks must be sorted and distinct")
-    if fields["mode"] == "exhaustive" and samples != 0:
-        raise ValueError("line 1: an exhaustive report has samples=0")
-    passes: dict[str, int] = {}
-    failures: dict[str, int] = {}
-    check_lines: dict[str, int] = {}
-    fail_lines = {c: 0 for c in checks}
-    counterexamples: list[str] = []
-    instances = total = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("check "):
-            name, _, counts = line[len("check "):].partition(": ")
-            p, _, f = counts.partition(" ")
-            if not (p.startswith("pass=") and f.startswith("fail=")):
-                raise ValueError(f"line {lineno}: expected 'check <name>: pass=<n> fail=<n>'")
-            if name not in fail_lines:
-                raise ValueError(f"line {lineno}: check {name!r} is not in the header")
-            if name in check_lines:
-                raise ValueError(f"line {lineno}: second line for check {name!r}")
-            check_lines[name] = lineno
-            passes[name] = _report_int(p[len("pass="):], "pass count", lineno)
-            failures[name] = _report_int(f[len("fail="):], "fail count", lineno)
-        elif line.startswith("FAIL "):
-            name = line[len("FAIL "):].partition(" ")[0]
-            if name not in fail_lines:
-                raise ValueError(f"line {lineno}: FAIL line names no header check")
-            fail_lines[name] += 1
-            counterexamples.append(line[len("FAIL "):])
-        elif line.endswith("failures"):
-            if instances is not None:
-                raise ValueError(f"line {lineno}: second summary line")
-            head, _, tail = line.removesuffix(" failures").partition(" instances, ")
-            instances = _report_int(head, "instance count", lineno)
-            total = _report_int(tail, "failure count", lineno)
-            summary_line = lineno
-        else:
-            raise ValueError(f"line {lineno}: unrecognized report line")
-    if instances is None:
-        raise ValueError("missing summary line")
-    want = sum(_instance_count(n, fields["mode"], samples) for n in ns)
-    if instances != want:
-        raise ValueError(
-            f"line {summary_line}: {instances} instances, but the header gives {want}"
-        )
-    for name in checks:
-        if name not in check_lines:
-            raise ValueError(f"missing line for check {name!r}")
-        lineno, p, f = check_lines[name], passes[name], failures[name]
-        if min(p, f) < 0 or p + f != instances:
-            raise ValueError(
-                f"line {lineno}: pass={p} fail={f} do not split {instances} instances"
-            )
-        if f != fail_lines[name]:
-            raise ValueError(
-                f"line {lineno}: fail={f} but {fail_lines[name]} FAIL lines name {name!r}"
-            )
-    if total != len(counterexamples):
-        raise ValueError(
-            f"line {summary_line}: {total} failures but {len(counterexamples)} FAIL lines"
-        )
-    return SweepReport(
-        ns=ns,
-        mode=fields["mode"],
-        checks=checks,
-        seed=seed,
-        samples=samples,
-        workers=1,
-        instances=instances,
-        passes=passes,
-        failures=failures,
-        counterexamples=tuple(counterexamples),
-        duration_s=0.0,
-    )
-
-
 def _instance_failures(t: Tournament, checks: tuple[str, ...]) -> list[str]:
     full = t.full_mask
     teq_mask, in_edges, _, _ = _pykernel.teq_exact_masks(t.cols, full)
@@ -489,10 +384,6 @@ def _instance_failures(t: Tournament, checks: tuple[str, ...]) -> list[str]:
     return failed
 
 
-def _instance_count(n: int, mode: str, samples: int) -> int:
-    return 1 << n * (n - 1) // 2 if mode == "exhaustive" else samples
-
-
 def _random_seed(seed: int, n: int, i: int) -> int:
     return seed + 1_000_003 * n + i
 
@@ -514,10 +405,17 @@ def _sweep_task(args: tuple) -> tuple[int, dict[str, int], list[str]]:
     return hi - lo, fail_counts, counterexamples
 
 
-def _check_sweep_args(
-    ns: tuple[int, ...], checks: tuple[str, ...], mode: str, samples: int, workers: int
-) -> None:
-    """The arguments ``sweep`` accepts, and so the report headers that parse."""
+def sweep(
+    ns: Sequence[int],
+    checks: Sequence[str] = SWEEP_CHECKS,
+    mode: str = "exhaustive",
+    samples: int = 0,
+    seed: int = 0,
+    workers: int = 1,
+) -> SweepReport:
+    """Run the selected checks over every instance and fold a report."""
+    checks = tuple(sorted(set(checks)))
+    ns = tuple(ns)
     for check in checks:
         if check not in SWEEP_CHECKS:
             raise ValueError(f"unknown check {check!r}")
@@ -536,24 +434,12 @@ def _check_sweep_args(
             raise ValueError(f"exhaustive sweep capped at n={ENUMERATION_CAP}")
     if mode == "random" and samples < 1:
         raise ValueError("random mode needs a positive sample count")
-
-
-def sweep(
-    ns: Sequence[int],
-    checks: Sequence[str] = SWEEP_CHECKS,
-    mode: str = "exhaustive",
-    samples: int = 0,
-    seed: int = 0,
-    workers: int = 1,
-) -> SweepReport:
-    """Run the selected checks over every instance and fold a report."""
-    checks = tuple(sorted(set(checks)))
-    ns = tuple(ns)
-    _check_sweep_args(ns, checks, mode, samples, workers)
+    if mode == "exhaustive" and samples:
+        raise ValueError("exhaustive mode takes no sample count")
 
     tasks = []
     for n in ns:
-        count = _instance_count(n, mode, samples)
+        count = 1 << n * (n - 1) // 2 if mode == "exhaustive" else samples
         chunk = max(1, -(-count // workers))
         lo = 0
         while lo < count:
@@ -585,7 +471,7 @@ def sweep(
         mode=mode,
         checks=checks,
         seed=seed,
-        samples=samples if mode == "random" else 0,
+        samples=samples,
         workers=workers,
         instances=instances,
         passes=passes,

@@ -364,6 +364,24 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert err == f"error: bad size {item}: expected n or lo..hi\n"
 
+    def test_size_list_cap(self):
+        assert cli._parse_sizes("1..1000") == list(range(1, 1001))
+        # the last range would need terabytes if it were expanded before the check
+        for item in ["1..1001", "1..999,5,6", "1..1000000000000"]:
+            with pytest.raises(ValueError) as info:
+                cli._parse_sizes(item)
+            last = item.split(",")[-1]
+            assert str(info.value) == f"size item '{last}' takes the size list past its cap 1000"
+
+    def test_size_list_cap_exit_2(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--n", "3,1..1000"])
+        assert (code, out) == (2, "")
+        assert err == "error: size item '1..1000' takes the size list past its cap 1000\n"
+
+    def test_exhaustive_samples_exit_2(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--n", "3", "--samples", "5"])
+        assert (code, out, err) == (2, "", "error: exhaustive mode takes no sample count\n")
+
     @pytest.mark.parametrize("checks", ["", "nonempty,"])
     def test_empty_check_name_exit_2(self, capsys, checks):
         code, out, err = run(capsys, ["sweep", "--n", "2", "--checks", checks])

@@ -10,7 +10,6 @@ from tsol.verification import (
     check_proof_traces,
     consistent_choice_set,
     iter_consistent_choice_sets,
-    parse_sweep_report,
     sample_chain_reachability,
     sat_brute_force,
     sweep,
@@ -293,7 +292,29 @@ class TestSweep:
         report = sweep([3])
         assert report.instances == 8
         assert report.total_failures == 0
-        assert "8 instances, 0 failures" in report.serialize()
+        assert report.serialize() == (
+            "sweep ns=3 mode=exhaustive"
+            " checks=condorcet,heuristic-eq,nonempty,single-scc,teq-in-banks seed=0 samples=0\n"
+            "check condorcet: pass=8 fail=0\n"
+            "check heuristic-eq: pass=8 fail=0\n"
+            "check nonempty: pass=8 fail=0\n"
+            "check single-scc: pass=8 fail=0\n"
+            "check teq-in-banks: pass=8 fail=0\n"
+            "8 instances, 0 failures\n"
+        )
+
+    def test_random_report_text(self):
+        report = sweep([6, 4], mode="random", samples=7, seed=2)
+        assert report.serialize() == (
+            "sweep ns=6,4 mode=random"
+            " checks=condorcet,heuristic-eq,nonempty,single-scc,teq-in-banks seed=2 samples=7\n"
+            "check condorcet: pass=14 fail=0\n"
+            "check heuristic-eq: pass=14 fail=0\n"
+            "check nonempty: pass=14 fail=0\n"
+            "check single-scc: pass=14 fail=0\n"
+            "check teq-in-banks: pass=14 fail=0\n"
+            "14 instances, 0 failures\n"
+        )
 
     def test_n1_trivial(self):
         report = sweep([1])
@@ -324,6 +345,14 @@ class TestSweep:
             sweep([3], mode="random")
         with pytest.raises(ValueError, match="workers"):
             sweep([3], workers=0)
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            sweep([3], mode="bogus")
+        with pytest.raises(ValueError, match="^no checks selected$"):
+            sweep([3], checks=())
+        with pytest.raises(ValueError, match="^sizes must be positive$"):
+            sweep([0])
+        with pytest.raises(ValueError, match="^exhaustive mode takes no sample count$"):
+            sweep([3], samples=5)
 
     def test_pool_size_bounded_by_task_count(self, monkeypatch):
         asked = []
@@ -358,7 +387,7 @@ class TestSweep:
             sweep([3], workers=10**6)
 
     def test_empty_size_list_rejected(self):
-        # its report would carry the header ns=, which no parser can read back
+        # its report would carry the empty header field ns=
         with pytest.raises(ValueError, match="^no sizes given$"):
             sweep([])
 
@@ -380,151 +409,3 @@ class TestSweep:
         assert "FAIL nonempty n=5 bits=17" in text
         assert text.endswith("1024 instances, 1 failures\n")
         assert "duration" not in text
-        assert parse_sweep_report(text).serialize() == text
-
-    def test_serialize_round_trip(self):
-        for report in (sweep([3]), sweep([6, 4], mode="random", samples=7, seed=2)):
-            back = parse_sweep_report(report.serialize())
-            assert back.serialize() == report.serialize()
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            (
-                "sweep ns=3 mode=exhaustive checks=nonempty seed=0 samples=0 junk\n",
-                "line 1: header field 'junk' has no '='",
-            ),
-            (
-                "sweep ns=3,x mode=exhaustive checks=nonempty seed=0 samples=0\n",
-                "line 1: size 'x' is not an integer",
-            ),
-            (
-                "sweep ns=3 mode=exhaustive checks=nonempty seed=s samples=0\n",
-                "line 1: seed 's' is not an integer",
-            ),
-            (
-                "sweep ns=3 mode=exhaustive checks=nonempty seed=0 samples=0\n"
-                "check nonempty: pass=8\n8 instances, 0 failures\n",
-                "line 2: expected 'check <name>: pass=<n> fail=<n>'",
-            ),
-        ],
-    )
-    def test_parse_errors_name_the_line(self, text, message):
-        with pytest.raises(ValueError) as info:
-            parse_sweep_report(text)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize(
-        "header, message",
-        [
-            ("ns=3 mode=bogus checks=nope seed=0 samples=0", "line 1: unknown check 'nope'"),
-            ("ns=3 mode=bogus checks=nonempty seed=0 samples=0", "line 1: unknown mode 'bogus'"),
-            (
-                "ns=8 mode=exhaustive checks=nonempty seed=0 samples=0",
-                "line 1: exhaustive sweep capped at n=7",
-            ),
-            (
-                "ns=3 mode=random checks=nonempty seed=0 samples=0",
-                "line 1: random mode needs a positive sample count",
-            ),
-        ],
-        ids=["check", "mode", "cap", "samples"],
-    )
-    def test_parse_rejects_headers_sweep_rejects(self, header, message):
-        text = f"sweep {header}\ncheck nonempty: pass=8 fail=0\n8 instances, 0 failures\n"
-        with pytest.raises(ValueError) as info:
-            parse_sweep_report(text)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize(
-        "body, message",
-        [
-            (
-                "check nonempty: pass=8 fail=0\ncheck nonempty: pass=7 fail=1\n"
-                "FAIL nonempty n=3 bits=0\n8 instances, 1 failures\n",
-                "line 3: second line for check 'nonempty'",
-            ),
-            (
-                "check nonempty: pass=100 fail=0\n8 instances, 0 failures\n",
-                "line 2: pass=100 fail=0 do not split 8 instances",
-            ),
-            (
-                "check nonempty: pass=-1 fail=9\n" + "FAIL nonempty n=3 bits=0\n" * 9
-                + "8 instances, 9 failures\n",
-                "line 2: pass=-1 fail=9 do not split 8 instances",
-            ),
-            (
-                "check nonempty: pass=7 fail=1\nFAIL condorcet n=3 bits=0\n"
-                "8 instances, 1 failures\n",
-                "line 3: FAIL line names no header check",
-            ),
-            (
-                "check nonempty: pass=7 fail=1\n8 instances, 1 failures\n",
-                "line 2: fail=1 but 0 FAIL lines name 'nonempty'",
-            ),
-            (
-                "check condorcet: pass=8 fail=0\n8 instances, 0 failures\n",
-                "line 2: check 'condorcet' is not in the header",
-            ),
-            ("8 instances, 0 failures\n", "missing line for check 'nonempty'"),
-            (
-                "check nonempty: pass=8 fail=0\n8 instances, 0 failures\n"
-                "9 instances, 0 failures\n",
-                "line 4: second summary line",
-            ),
-            (
-                "check nonempty: pass=8 fail=0\n8 instances, 1 failures\n",
-                "line 3: 1 failures but 0 FAIL lines",
-            ),
-            (
-                "check nonempty: pass=0 fail=0\n0 instances, 0 failures\n",
-                "line 3: 0 instances, but the header gives 8",
-            ),
-        ],
-        ids=[
-            "duplicate", "count-sum", "negative", "fail-check", "fail-count",
-            "extra-check", "missing-check", "two-summaries", "total", "instances",
-        ],
-    )
-    def test_parse_rejects_reports_no_sweep_writes(self, body, message):
-        header = "sweep ns=3 mode=exhaustive checks=nonempty seed=0 samples=0\n"
-        with pytest.raises(ValueError) as info:
-            parse_sweep_report(header + body)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize(
-        "fields, message",
-        [
-            (
-                "checks=nonempty,nonempty samples=0",
-                "line 1: header checks must be sorted and distinct",
-            ),
-            (
-                "checks=nonempty,condorcet samples=0",
-                "line 1: header checks must be sorted and distinct",
-            ),
-            (
-                "checks=condorcet,nonempty samples=5",
-                "line 1: an exhaustive report has samples=0",
-            ),
-        ],
-        ids=["duplicate", "unsorted", "samples"],
-    )
-    def test_parse_rejects_headers_no_sweep_writes(self, fields, message):
-        text = (
-            f"sweep ns=3 mode=exhaustive seed=0 {fields}\n"
-            "check condorcet: pass=8 fail=0\ncheck nonempty: pass=8 fail=0\n"
-            "8 instances, 0 failures\n"
-        )
-        with pytest.raises(ValueError) as info:
-            parse_sweep_report(text)
-        assert str(info.value) == message
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError, match="header"):
-            parse_sweep_report("not a report\n")
-        with pytest.raises(ValueError, match="unrecognized"):
-            parse_sweep_report(
-                "sweep ns=3 mode=exhaustive checks=nonempty seed=0 samples=0\n"
-                "check nonempty: pass=8 fail=0\nwat\n8 instances, 0 failures\n"
-            )
