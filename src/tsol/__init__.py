@@ -17,7 +17,6 @@ from tsol.reductions import (
     banks_gadget,
     cnf,
     decision_node,
-    format_dimacs,
     layout_labels,
     layout_to_dot,
     lit,
@@ -69,7 +68,6 @@ __all__ = [
     "consistent_choice_set",
     "decision_node",
     "enumerate_tournaments",
-    "format_dimacs",
     "format_tournament",
     "iter_consistent_choice_sets",
     "layout_labels",

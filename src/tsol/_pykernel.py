@@ -119,9 +119,37 @@ def top_cycle_masks(carrier: int, in_edges) -> int:
 
 
 def scc_count_masks(carrier: int, in_edges) -> int:
-    """Number of strongly connected components of the relation."""
-    _, ncomp = _tarjan(carrier, _out_edges(carrier, in_edges))
-    return ncomp
+    """Number of strongly connected components of the relation.
+
+    The component of the lowest uncounted node v is the part of its
+    backward closure (every node that reaches v) that v reaches.  A path
+    between two members of one component stays inside that component, so
+    both closures run on the uncounted nodes only.
+    """
+    count = 0
+    rest = carrier
+    while rest:
+        comp = rest & -rest
+        back = frontier = comp
+        while frontier:
+            a = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = in_edges[a] & rest & ~back
+            back |= new
+            frontier |= new
+        grown = True
+        while grown:
+            grown = False
+            m = back & ~comp
+            while m:
+                low = m & -m
+                m ^= low
+                if in_edges[low.bit_length() - 1] & comp:
+                    comp |= low
+                    grown = True
+        rest &= ~comp
+        count += 1
+    return count
 
 
 # --- tournament equilibrium set ----------------------------------------------
@@ -249,9 +277,11 @@ def teq_heuristic_masks(
                 seed = low
             elif k == best:
                 seed |= low
+        in_edges = [0] * n
+        if best == 0:
+            return seed, seed, in_edges, 1  # a Condorcet winner: what one pass below returns
         base = seed
         cur = seed
-        in_edges = [0] * n
         iterations = 0
         while True:
             iterations += 1

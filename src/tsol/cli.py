@@ -211,12 +211,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # the seed belongs to random mode; given in exhaustive mode, sweep() refuses it
+    seed = args.seed
+    if seed is None:
+        seed = DEFAULT_SEED if args.random else 0
     report = sweep(
         _parse_sizes(args.n),
         checks=args.checks.split(",") if args.checks is not None else SWEEP_CHECKS,
         mode="random" if args.random else "exhaustive",
         samples=args.samples,
-        seed=args.seed,
+        seed=seed,
         workers=args.workers,
     )
     _write_output(args.output, report.serialize())
@@ -317,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--random", action="store_true")
     p_sweep.add_argument("--samples", type=int, default=0, help="instances per size (random mode)")
     p_sweep.add_argument("--checks", help=f"comma list from {','.join(SWEEP_CHECKS)}")
-    p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sweep.add_argument(
+        "--seed", type=int, help=f"random mode only (default {DEFAULT_SEED})"
+    )
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--output", help="report file (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)

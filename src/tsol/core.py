@@ -127,13 +127,27 @@ def tournament_from_bits(n: int, bits: int, names: tuple[str, ...] | None = None
     pair_count = n * (n - 1) // 2
     if bits < 0 or bits >> pair_count:
         raise ValueError(f"bit pattern out of range for n={n}")
+    rows, _ = masks_from_bits(n, bits)
+    return Tournament(names or default_names(n), tuple(rows))
+
+
+def masks_from_bits(n: int, bits: int) -> tuple[list[int], list[int]]:
+    """The ``rows`` and ``cols`` masks of the pattern ``tournament_from_bits``
+    reads, for ``0 <= bits < 2**(n*(n-1)//2)``, unchecked.
+
+    Each pair is oriented exactly once, so the masks always describe a
+    tournament and need no validation.
+    """
     rows = [0] * n
+    cols = [0] * n
     for k, (i, j) in enumerate(combinations(range(n), 2)):
         if bits >> k & 1:
             rows[i] |= 1 << j
+            cols[j] |= 1 << i
         else:
             rows[j] |= 1 << i
-    return Tournament(names or default_names(n), tuple(rows))
+            cols[i] |= 1 << j
+    return rows, cols
 
 
 def enumerate_tournaments(n: int) -> Iterator[Tournament]:

@@ -156,15 +156,6 @@ def parse_dimacs(text: str) -> Cnf:
     return Cnf(tuple(clauses))
 
 
-def format_dimacs(f: Cnf) -> str:
-    order = {v: i + 1 for i, v in enumerate(f.variables)}
-    lines = [f"p cnf {len(order)} {f.m}"]
-    for clause in f.clauses:
-        nums = [(-order[l.variable] if l.negated else order[l.variable]) for l in clause]
-        lines.append(" ".join(str(x) for x in nums) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 # --- gadget layouts -----------------------------------------------------------
 
 # a level is a list of (name, role) members; a node is (level, position),

@@ -200,6 +200,16 @@ def random_cnf(rng: Random, m: int, variables=FIVE_VARS) -> Cnf:
     return Cnf(tuple(clauses))
 
 
+def format_dimacs(f: Cnf) -> str:
+    """DIMACS text of ``f``; variables are numbered by first occurrence."""
+    order = {v: i + 1 for i, v in enumerate(f.variables)}
+    lines = [f"p cnf {len(order)} {f.m}"]
+    for clause in f.clauses:
+        nums = [(-order[l.variable] if l.negated else order[l.variable]) for l in clause]
+        lines.append(" ".join(str(x) for x in nums) + " 0")
+    return "\n".join(lines) + "\n"
+
+
 def unsat_eight_clauses() -> Cnf:
     """All eight sign patterns over three variables; unsatisfiable."""
     return Cnf(

@@ -8,10 +8,9 @@ import pytest
 
 from tsol import cli
 from tsol.core import format_tournament, parse_tournament, random_tournament
-from tsol.reductions import format_dimacs
 from tsol.verification import SweepReport
 
-from oracles import nine_clauses, random_cnf
+from oracles import format_dimacs, nine_clauses, random_cnf
 
 
 @pytest.fixture
@@ -381,6 +380,24 @@ class TestSweepCommand:
     def test_exhaustive_samples_exit_2(self, capsys):
         code, out, err = run(capsys, ["sweep", "--n", "3", "--samples", "5"])
         assert (code, out, err) == (2, "", "error: exhaustive mode takes no sample count\n")
+
+    def test_exhaustive_seed_exit_2(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--n", "3", "--seed", "5"])
+        assert (code, out, err) == (2, "", "error: exhaustive mode takes no seed\n")
+
+    def test_report_matches_the_readme_example(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("Sweep report", 1)[1].split("```\n")[1]
+        code, out, _ = run(capsys, ["sweep", "--n", "3", "--checks", "condorcet,nonempty"])
+        assert (code, out) == (0, example)
+
+    def test_random_mode_default_seed(self, capsys):
+        _, default, _ = run(capsys, ["sweep", "--n", "5", "--random", "--samples", "3"])
+        _, given, _ = run(
+            capsys, ["sweep", "--n", "5", "--random", "--samples", "3", "--seed", "20240"]
+        )
+        assert default == given
+        assert "seed=20240 samples=3" in default
 
     @pytest.mark.parametrize("checks", ["", "nonempty,"])
     def test_empty_check_name_exit_2(self, capsys, checks):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from tsol import _pykernel
 from tsol.core import (
     Tournament,
+    default_names,
     enumerate_tournaments,
     format_tournament,
+    masks_from_bits,
     parse_tournament,
     random_tournament,
     tournament_from_bits,
@@ -241,6 +243,17 @@ class TestEnumeration:
         for bits, t in enumerate(enumerate_tournaments(3)):
             pairs = combinations(range(3), 2)
             assert sum(t.dominates(i, j) << k for k, (i, j) in enumerate(pairs)) == bits
+
+    def test_masks_from_bits_match_a_validated_tournament(self):
+        # every pattern up to n = 5, and seeded ones at n = 6 and n = 7
+        rng = random.Random(11)
+        cases = [(n, bits) for n in range(1, 6) for bits in range(1 << n * (n - 1) // 2)]
+        cases += [(n, rng.getrandbits(n * (n - 1) // 2)) for n in (6, 7) for _ in range(200)]
+        for n, bits in cases:
+            rows, cols = masks_from_bits(n, bits)
+            t = Tournament(default_names(n), tuple(rows))  # validates the rows
+            assert t.cols == tuple(cols)
+            assert t.rows == tournament_from_bits(n, bits).rows
 
     def test_cap(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from tsol.reductions import (
     banks_gadget,
     cnf,
     decision_node,
-    format_dimacs,
     layout_labels,
     layout_to_dot,
     lit,
@@ -20,7 +19,7 @@ from tsol.reductions import (
     validate_layout,
 )
 
-from oracles import all_formulas_m2, random_cnf
+from oracles import all_formulas_m2, format_dimacs, random_cnf
 
 
 class TestLiterals:

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 import tsol.verification
+from tsol import _pykernel
 from tsol.reductions import Cnf, Literal, cnf, decision_node, teq_gadget
 from tsol.verification import (
     SweepReport,
@@ -353,6 +354,40 @@ class TestSweep:
             sweep([0])
         with pytest.raises(ValueError, match="^exhaustive mode takes no sample count$"):
             sweep([3], samples=5)
+        with pytest.raises(ValueError, match="^exhaustive mode takes no seed$"):
+            sweep([3], seed=5)
+
+    @staticmethod
+    def fail_counts(report):
+        return tuple(report.failures[c] for c in report.checks)
+
+    def test_checks_catch_a_teq_that_is_the_carrier(self, monkeypatch):
+        exact = _pykernel.teq_exact_masks
+
+        def carrier(cols, x_mask):
+            return (x_mask, *exact(cols, x_mask)[1:])
+
+        monkeypatch.setattr(_pykernel, "teq_exact_masks", carrier)
+        # condorcet, heuristic-eq, nonempty, single-scc, teq-in-banks
+        assert self.fail_counts(sweep([4])) == (32, 64, 0, 64, 64)
+        report = sweep([5])
+        assert self.fail_counts(report) == (320, 960, 0, 960, 960)
+        assert report.serialize().count("\nFAIL ") == 3200
+        assert report.counterexamples[0] == "teq-in-banks n=5 bits=0"
+
+    def test_checks_catch_an_empty_teq(self, monkeypatch):
+        exact = _pykernel.teq_exact_masks
+
+        def empty(cols, x_mask):
+            return (0, *exact(cols, x_mask)[1:])
+
+        monkeypatch.setattr(_pykernel, "teq_exact_masks", empty)
+        assert self.fail_counts(sweep([4])) == (32, 64, 64, 64, 0)
+        assert self.fail_counts(sweep([5])) == (320, 1024, 1024, 1024, 0)
+
+    def test_banks_checks_catch_a_banks_set_that_is_empty(self, monkeypatch):
+        monkeypatch.setattr(_pykernel, "banks_member_masks", lambda *args: None)
+        assert self.fail_counts(sweep([4])) == (32, 0, 0, 0, 64)
 
     def test_pool_size_bounded_by_task_count(self, monkeypatch):
         asked = []
