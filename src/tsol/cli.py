@@ -1,8 +1,8 @@
 """Command-line surface: solve, reduce, verify, sweep, and bench.
 
 Exit codes: 0 success, 1 a DISAGREE verdict or sweep counterexamples, 2
-input errors and unreadable or unwritable paths, 3 time budget exceeded.
-All set outputs are sorted by name and newline-terminated.
+input errors, too-deep inputs and unreadable or unwritable paths, 3 time
+budget exceeded. All set outputs are sorted by name and newline-terminated.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ DEFAULT_SEED = 20240
 
 METHODS = ("teq-exact", "teq-heuristic", "banks", "topcycle")
 
-# one day; far larger budgets overflow the pipe's poll timeout
+# one day, the documented limit; setitimer overflows only far above it
 TIME_BUDGET_CAP_MS = 86_400_000
 
 # sizes per --n or --sizes list, checked before a range is expanded
@@ -142,13 +142,12 @@ def _solve_text(t: Tournament, args) -> str:
     return "".join(out)
 
 
-def _budget_child(conn, t: Tournament, args) -> None:
-    try:
-        conn.send((True, _solve_text(t, args)))
-    except ValueError as exc:
-        conn.send((False, str(exc)))
-    finally:
-        conn.close()
+class _BudgetExceeded(Exception):
+    """Raised by the SIGALRM handler when a solve's time budget runs out."""
+
+
+def _budget_alarm(signum, frame):
+    raise _BudgetExceeded
 
 
 def cmd_solve(args) -> int:
@@ -163,27 +162,27 @@ def cmd_solve(args) -> int:
         raise ValueError(f"--time-budget-ms exceeds the cap {TIME_BUDGET_CAP_MS} (one day)")
     t = parse_tournament(Path(args.input).read_text())
     if args.time_budget_ms:
-        from multiprocessing import get_context
+        import signal
 
-        ctx = get_context("fork")
-        parent, child = ctx.Pipe()
-        proc = ctx.Process(target=_budget_child, args=(child, t, args))
+        if not hasattr(signal, "setitimer"):
+            raise ValueError("--time-budget-ms needs signal.setitimer, which this platform lacks")
+        previous = signal.signal(signal.SIGALRM, _budget_alarm)
         start = time.perf_counter()
-        proc.start()
-        child.close()
-        if not parent.poll(args.time_budget_ms / 1000.0):
-            proc.terminate()
-            proc.join()
+        try:
+            try:  # the alarm can land on any bytecode, so the catch covers the cancel too
+                signal.setitimer(signal.ITIMER_REAL, args.time_budget_ms / 1000.0)
+                text = _solve_text(t, args)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+        except _BudgetExceeded:
             elapsed = (time.perf_counter() - start) * 1000.0
             sys.stdout.write(
                 f"timeout method={args.method} budget_ms={args.time_budget_ms} "
                 f"elapsed_ms={elapsed:.0f}\n"
             )
             return 3
-        ok, text = parent.recv()
-        proc.join()
-        if not ok:
-            raise ValueError(text)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
     else:
         text = _solve_text(t, args)
     sys.stdout.write(text)
@@ -348,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

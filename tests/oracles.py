@@ -11,7 +11,7 @@ from itertools import combinations, product
 from random import Random
 
 from tsol.core import Tournament
-from tsol.reductions import Cnf, GadgetLayout, Literal, cnf
+from tsol.reductions import Clause, Cnf, GadgetLayout, Literal, cnf
 
 
 def triple_is_cyclic(t: Tournament, x: int, y: int, z: int) -> bool:
@@ -161,6 +161,29 @@ def reachability_oracle(layout: GadgetLayout, b) -> tuple[str, ...]:
     return tuple(t.names[u] for u in keep if u not in layout.chain and u not in reached)
 
 
+def shortest_cycle_length(pairs, members, a: int) -> int | None:
+    """Edges in a shortest cycle through ``a`` of the relation ``pairs``
+    (b, c meaning b => c) restricted to ``members``, by a set BFS from
+    ``a``; None when no such cycle exists."""
+    succ: dict[int, set[int]] = {}
+    for b, c in pairs:
+        if b in members and c in members:
+            succ.setdefault(b, set()).add(c)
+    reached = {a}
+    frontier = {a}
+    length = 0
+    while frontier:
+        length += 1
+        nxt = set()
+        for x in frontier:
+            if a in succ.get(x, ()):
+                return length
+            nxt |= succ.get(x, set()) - reached
+        reached |= nxt
+        frontier = nxt
+    return None
+
+
 def flip_edges(layout: GadgetLayout, pairs) -> GadgetLayout:
     """The layout with the dominance of each (index, index) pair reversed."""
     rows = list(layout.tournament.rows)
@@ -218,6 +241,38 @@ def unsat_eight_clauses() -> Cnf:
             for signs in product((False, True), repeat=3)
         )
     )
+
+
+def unsat_q4_matchings() -> list[Cnf]:
+    """The 272 unsatisfiable 8-clause 3CNFs over p, q, r, s (OEIS A045310).
+
+    A clause on three of the four variables is false on exactly the two
+    assignments of one edge of the 4-cube Q4, so eight such clauses are
+    unsatisfiable iff their edges cover all 16 assignments: a perfect
+    matching of Q4.  Each matching covers its lowest uncovered assignment
+    next, and its clauses come in that order.
+    """
+
+    def clause(u: int, v: int) -> Clause:
+        # false exactly where every kept variable takes its value in u
+        return tuple(
+            Literal(x, bool(u >> k & 1)) for k, x in enumerate(FOUR_VARS) if not (u ^ v) >> k & 1
+        )
+
+    formulas = []
+
+    def extend(free: frozenset[int], edges: list[tuple[int, int]]) -> None:
+        if not free:
+            formulas.append(Cnf(tuple(clause(u, v) for u, v in edges)))
+            return
+        u = min(free)
+        for k in range(len(FOUR_VARS)):
+            v = u ^ (1 << k)
+            if v in free:
+                extend(free - {u, v}, edges + [(u, v)])
+
+    extend(frozenset(range(1 << len(FOUR_VARS))), [])
+    return formulas
 
 
 def nine_clauses() -> Cnf:

@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +8,17 @@ from random import Random
 import pytest
 
 from tsol import cli
-from tsol.core import format_tournament, parse_tournament, random_tournament
+from tsol.core import (
+    Tournament,
+    default_names,
+    enumerate_tournaments,
+    format_tournament,
+    parse_tournament,
+    random_tournament,
+)
 from tsol.verification import SweepReport
 
-from oracles import format_dimacs, nine_clauses, random_cnf
+from oracles import format_dimacs, nine_clauses, random_cnf, shortest_cycle_length, teq_oracle
 
 
 @pytest.fixture
@@ -27,6 +35,16 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+BUDGETS = [[], ["--time-budget-ms", "60000"]]
 
 
 class TestSolve:
@@ -188,6 +206,90 @@ class TestSolve:
             ["solve", "--input", fig1_file, "--method", "banks", "--time-budget-ms", "60000"],
         )
         assert (code, out) == (0, "a b c d\n")
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_too_deep_input_exit_2(self, capsys, tmp_path, budget):
+        # i < j, and i beats j iff j = i + 1: D(0) is the same family on n - 2
+        # nodes, so the exact recursion is about n / 2 frames deep
+        n = 200
+        rows = [sum(1 << j for j in range(n) if j == i + 1 or j < i - 1) for i in range(n)]
+        deep = tmp_path / "deep.txt"
+        deep.write_text(format_tournament(Tournament(default_names(n), tuple(rows))))
+        limit = sys.getrecursionlimit()
+        # 100 frames for the command, counted from this test's own depth
+        sys.setrecursionlimit(frame_depth() + 100)
+        try:
+            code, out, err = run(capsys, ["solve", "--input", str(deep), *budget])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_solve_error_comes_out_unchanged(self, monkeypatch, fig1_file, budget):
+        def broken(*args):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(cli, "_solve_text", broken)
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            cli.main(["solve", "--input", fig1_file, *budget])
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "outcome, code", [("met", 0), ("exceeded", 3), ("error", 2)]
+    )
+    def test_budget_cancels_the_timer_and_restores_the_handler(
+        self, capsys, tmp_path, fig1_file, outcome, code
+    ):
+        big = tmp_path / "big.txt"
+        big.write_text(format_tournament(random_tournament(80, 1)))
+        argv = {
+            "met": ["--input", fig1_file, "--method", "banks", "--time-budget-ms", "60000"],
+            "exceeded": ["--input", str(big), "--method", "teq-exact", "--time-budget-ms", "80"],
+            "error": ["--input", fig1_file, "--member", "zz", "--time-budget-ms", "60000"],
+        }[outcome]
+
+        def before(signum, frame):
+            raise AssertionError("the earlier SIGALRM handler ran")
+
+        previous = signal.signal(signal.SIGALRM, before)
+        try:
+            assert run(capsys, ["solve", *argv])[0] == code
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGALRM) is before
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+
+
+class TestMemberPath:
+    def test_every_member_of_small_tournaments(self, capsys, tmp_path):
+        # the path: line is a shortest cycle through the member in the TEQ
+        # relation on the TEQ set, or the member alone when there is none;
+        # up to n = 5 all cycles through a member have one length, so seeded
+        # n = 6..8 tournaments, where they need not, test "shortest"
+        tournaments = [t for n in range(1, 6) for t in enumerate_tournaments(n)]
+        tournaments += [random_tournament(n, seed) for n in (6, 7, 8) for seed in range(100)]
+        path = tmp_path / "t.txt"
+        cyclic = set()
+        for t in tournaments:
+            teq, pairs = teq_oracle(t)
+            path.write_text(format_tournament(t))
+            for a in sorted(teq):
+                code, out, _ = run(capsys, ["solve", "--input", str(path), "--member", t.names[a]])
+                assert code == 0
+                first, line = out.splitlines()
+                assert first == "true" and line.startswith("path: ")
+                length = shortest_cycle_length(pairs, teq, a)
+                cyclic.add(length is not None)
+                if length is None:
+                    assert line == f"path: {t.names[a]}"
+                    continue
+                nodes = [t.index(x) for x in line.removeprefix("path: ").split(" => ")]
+                assert nodes[0] == nodes[-1] == a
+                assert len(nodes) == length + 1 and len(set(nodes)) == length
+                assert set(nodes) <= teq
+                assert all(edge in pairs for edge in zip(nodes, nodes[1:]))
+        assert cyclic == {False, True}
 
 
 class TestReduce:
@@ -527,9 +629,19 @@ class TestImportCost:
         return proc.returncode, proc.stdout
 
     def test_cli_import_leaves_out_multiprocessing(self):
-        # the pool and the budget child import it when they start
+        # only the sweep pool imports it, when it starts
         code = "import sys, tsol.cli; print('multiprocessing' in sys.modules)"
         assert self.fresh(code) == (0, "False\n")
+
+    def test_budgeted_solve_leaves_out_multiprocessing(self, data_dir):
+        # a time budget is an in-process timer and starts no process
+        fig1 = str(data_dir / "fig1.txt")
+        code = (
+            "import sys; from tsol import cli; "
+            f"cli.main(['solve', '--input', {fig1!r}, '--time-budget-ms', '60000']); "
+            "print('multiprocessing' in sys.modules)"
+        )
+        assert self.fresh(code) == (0, "a b c\nFalse\n")
 
     def test_backend_variable_is_ignored(self):
         # there is one kernel, so no environment variable selects one

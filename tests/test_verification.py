@@ -1,9 +1,10 @@
+from itertools import product
 from random import Random
 
 import pytest
 
 import tsol.verification
-from tsol import _pykernel
+from tsol import _pykernel, cli
 from tsol.reductions import Cnf, Literal, cnf, decision_node, teq_gadget
 from tsol.verification import (
     SweepReport,
@@ -19,15 +20,18 @@ from tsol.verification import (
 )
 
 from oracles import (
+    FOUR_VARS,
     all_formulas_m2,
     choice_sets_oracle,
     evaluate,
     flip_edges,
+    format_dimacs,
     is_consistent,
     nine_clauses,
     random_cnf,
     reachability_oracle,
     unsat_eight_clauses,
+    unsat_q4_matchings,
 )
 
 
@@ -162,6 +166,42 @@ class TestTeqReduction:
             verify(random_cnf(Random(3), 17))
         assert str(info.value) == "17 clauses exceed the choice-set cap 16"
 
+
+class TestUnsatisfiableSide:
+    """The theorem's other half: d leaves both gadgets' choice sets on
+    unsatisfiable formulas, here every 8-clause 3CNF over four variables."""
+
+    def test_q4_matchings(self):
+        formulas = unsat_q4_matchings()
+        assert len(formulas) == 272
+        assert len({frozenset(f.clauses) for f in formulas}) == 272
+        for f in formulas:
+            assert f.m == 8
+            for values in product((False, True), repeat=len(FOUR_VARS)):
+                assert not evaluate(f, dict(zip(FOUR_VARS, values)))
+        # one per variable triple: the canonical formula on that triple
+        assert sorted(f.variables for f in formulas if len(f.variables) == 3) == [
+            ("p", "q", "r"), ("p", "q", "s"), ("p", "r", "s"), ("q", "r", "s")
+        ]
+
+    def test_banks_on_every_matching(self):
+        for f in unsat_q4_matchings():
+            v = verify_banks_reduction(f)
+            assert (v.sat, v.member, v.verdict) == (False, False, "AGREE")
+
+    def test_teq_on_seeded_matchings_and_clause_orders(self, capsys, tmp_path):
+        rng = Random(22)
+        formulas = rng.sample(unsat_q4_matchings(), 8)
+        for _ in range(4):
+            clauses = list(unsat_eight_clauses().clauses)
+            rng.shuffle(clauses)
+            formulas.append(Cnf(tuple(clauses)))
+        path = tmp_path / "f.cnf"
+        for f in formulas:
+            path.write_text(format_dimacs(f))
+            assert cli.main(["verify", "--input", str(path), "--target", "teq"]) == 0
+            assert capsys.readouterr().out == "SAT=false MEMBER=false VERDICT=AGREE\n"
+            assert check_proof_traces(f) == []
 
 class TestChainReachability:
     def test_decision_only_subset(self, fig_cnf):
