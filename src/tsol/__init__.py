@@ -1,6 +1,5 @@
 """Tournament solutions and the 3CNF gadget machinery around them."""
 
-from tsol import _pykernel
 from tsol.banks import banks_member, banks_set
 from tsol.core import (
     Tournament,
@@ -29,7 +28,6 @@ from tsol.verification import (
     SWEEP_CHECKS,
     ReductionVerdict,
     SweepReport,
-    check_chain_reachability,
     check_proof_traces,
     consistent_choice_set,
     iter_consistent_choice_sets,
@@ -45,7 +43,7 @@ __version__ = "0.1.0"
 
 def backend_name() -> str:
     """Name of the kernel that runs every TEQ and Banks computation."""
-    return _pykernel.NAME
+    return "python"
 
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "banks_gadget",
     "banks_member",
     "banks_set",
-    "check_chain_reachability",
     "check_proof_traces",
     "cnf",
     "consistent_choice_set",

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-NAME = "python"
-
 
 def _tarjan(carrier: int, out: dict[int, int]) -> tuple[dict[int, int], int]:
     """Strongly connected components of the carrier under ``out`` adjacency."""
@@ -118,6 +116,27 @@ def top_cycle_masks(carrier: int, in_edges) -> int:
     return res
 
 
+def reach_masks(seed: int, carrier: int, in_edges) -> int:
+    """Every node of the carrier that a path within it reaches from ``seed``.
+
+    ``seed`` lies in the carrier and is part of the result.  ``in_edges``
+    is indexed as in ``top_cycle_masks``; a node joins once one of its
+    in-neighbours has, and sweeps repeat until one adds nothing.
+    """
+    reached = seed
+    grown = True
+    while grown:
+        grown = False
+        m = carrier & ~reached
+        while m:
+            low = m & -m
+            m ^= low
+            if in_edges[low.bit_length() - 1] & reached:
+                reached |= low
+                grown = True
+    return reached
+
+
 def scc_count_masks(carrier: int, in_edges) -> int:
     """Number of strongly connected components of the relation.
 
@@ -129,25 +148,15 @@ def scc_count_masks(carrier: int, in_edges) -> int:
     count = 0
     rest = carrier
     while rest:
-        comp = rest & -rest
-        back = frontier = comp
+        v = rest & -rest
+        back = frontier = v
         while frontier:
             a = (frontier & -frontier).bit_length() - 1
             frontier &= frontier - 1
             new = in_edges[a] & rest & ~back
             back |= new
             frontier |= new
-        grown = True
-        while grown:
-            grown = False
-            m = back & ~comp
-            while m:
-                low = m & -m
-                m ^= low
-                if in_edges[low.bit_length() - 1] & comp:
-                    comp |= low
-                    grown = True
-        rest &= ~comp
+        rest &= ~reach_masks(v, back, in_edges)
         count += 1
     return count
 

@@ -30,7 +30,7 @@ from tsol.reductions import (
     parse_dimacs,
     teq_gadget,
 )
-from tsol.teq import TeqResult, teq_exact, teq_heuristic, teq_trace
+from tsol.teq import teq_exact, teq_heuristic, teq_solver, teq_trace
 from tsol.verification import SWEEP_CHECKS, sweep, verify_banks_reduction, verify_teq_reduction
 
 DEFAULT_SEED = 20240
@@ -74,13 +74,12 @@ def _solution_line(t: Tournament, indices) -> str:
     return " ".join(sorted(t.names[i] for i in indices)) + "\n"
 
 
-def _relation_path(t: Tournament, res: TeqResult, a: int) -> str:
+def _relation_path(t: Tournament, teq_mask: int, in_edges, a: int) -> str:
     """A shortest cycle through ``a`` in the TEQ relation on the TEQ set, or
     just ``a`` when there is none; the search visits lower indices first."""
-    members = subset_mask(t, res.teq_set)
     out = [0] * t.n
-    for y in res.teq_set:
-        for x in _pykernel._mask_iter(res.in_edges[y] & members):
+    for y in _pykernel._mask_iter(teq_mask):
+        for x in _pykernel._mask_iter(in_edges[y] & teq_mask):
             out[x] |= 1 << y
     parent: dict[int, int] = {}
     frontier = [a]
@@ -108,8 +107,19 @@ def _relation_path(t: Tournament, res: TeqResult, a: int) -> str:
     return "path: " + " => ".join(t.names[i] for i in path)
 
 
+def _teq_masks(t: Tournament, method: str, teq_of) -> tuple[int, tuple[int, ...]]:
+    """The TEQ of all of ``t`` and its relation's in-edges, as masks.  A
+    traced exact solve reads both from the trace's solver ``teq_of``, so the
+    exact recursion runs once."""
+    if method == "teq-exact" and teq_of is not None:
+        return teq_of(t.full_mask), tuple(teq_of(c) for c in t.cols)
+    res = teq_exact(t) if method == "teq-exact" else teq_heuristic(t)
+    return subset_mask(t, res.teq_set), res.in_edges
+
+
 def _solve_text(t: Tournament, args) -> str:
     method = args.method
+    teq_of = teq_solver(t) if args.trace is not None else None
     out: list[str] = []
     if args.member is not None:
         a = t.index(args.member)
@@ -119,26 +129,24 @@ def _solve_text(t: Tournament, args) -> str:
             if chain is not None:
                 out.append("chain: " + " > ".join(t.names[i] for i in chain) + "\n")
         elif method in ("teq-exact", "teq-heuristic"):
-            res = teq_exact(t) if method == "teq-exact" else teq_heuristic(t)
-            member = a in res.teq_set
+            teq_mask, in_edges = _teq_masks(t, method, teq_of)
+            member = teq_mask >> a & 1
             out.append("true\n" if member else "false\n")
             if member:
-                out.append(_relation_path(t, res, a) + "\n")
+                out.append(_relation_path(t, teq_mask, in_edges, a) + "\n")
         else:
             tc = _pykernel.top_cycle_masks(t.full_mask, t.cols)
             out.append("true\n" if tc >> a & 1 else "false\n")
     else:
         if method == "banks":
             chosen = banks_set(t)
-        elif method == "teq-exact":
-            chosen = teq_exact(t).teq_set
-        elif method == "teq-heuristic":
-            chosen = teq_heuristic(t).teq_set
+        elif method in ("teq-exact", "teq-heuristic"):
+            chosen = set_of(_teq_masks(t, method, teq_of)[0])
         else:
             chosen = set_of(_pykernel.top_cycle_masks(t.full_mask, t.cols))
         out.append(_solution_line(t, chosen))
-    if args.trace is not None:
-        out.append(teq_trace(t, depth_limit=args.trace))
+    if teq_of is not None:
+        out.append(teq_trace(t, depth_limit=args.trace, teq_of=teq_of))
     return "".join(out)
 
 
@@ -248,7 +256,6 @@ def _bench_rows(sizes, samples, seed):
                 (
                     n,
                     method,
-                    _pykernel.NAME,
                     statistics.mean(millis),
                     statistics.median(millis),
                     statistics.mean(calls),
@@ -262,14 +269,13 @@ def cmd_bench(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be positive")
     rows = _bench_rows(_parse_sizes(args.sizes), args.samples, args.seed)
-    header = ("size", "method", "backend", "mean_ms", "median_ms", "mean_calls", "median_calls")
+    header = ("size", "method", "mean_ms", "median_ms", "mean_calls", "median_calls")
     table = [header]
-    for n, method, backend, mean_ms, med_ms, mean_calls, med_calls in rows:
+    for n, method, mean_ms, med_ms, mean_calls, med_calls in rows:
         table.append(
             (
                 str(n),
                 method,
-                backend,
                 f"{mean_ms:.3f}",
                 f"{med_ms:.3f}",
                 f"{mean_calls:.1f}",

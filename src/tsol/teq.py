@@ -105,20 +105,26 @@ def teq_heuristic(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
 
 
 def teq_trace(
-    t: Tournament, x: Iterable[int] | None = None, depth_limit: int = 1
+    t: Tournament,
+    x: Iterable[int] | None = None,
+    depth_limit: int = 1,
+    teq_of: Callable[[int], int] | None = None,
 ) -> str:
     """Deterministic indented trace of the TEQ recursion down to a depth.
 
     Each line reports one dominator set and its TEQ; sets print as names
     sorted alphabetically.  Dominator-set lines are omitted for
-    alternatives nobody dominates.
+    alternatives nobody dominates.  ``teq_of``, a ``teq_solver(t)``, shares
+    its memo with the caller's other queries; by default the trace starts
+    a fresh one.
     """
     if depth_limit < 0:
         raise ValueError("depth limit must be nonnegative")
     mask = subset_mask(t, x)
     if mask == 0:
         raise ValueError("empty subset")
-    teq_of = teq_solver(t)
+    if teq_of is None:
+        teq_of = teq_solver(t)
 
     def fmt(m: int) -> str:
         return "{" + " ".join(sorted(t.names[i] for i in set_of(m))) + "}"

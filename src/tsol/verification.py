@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from tsol import _pykernel
 from tsol.banks import banks_member
@@ -164,63 +164,33 @@ def verify_teq_reduction(f: Cnf) -> ReductionVerdict:
 # --- reachability and proof-trace instance checks ------------------------------
 
 
-@dataclass(frozen=True)
-class ReachabilityResult:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def check_chain_reachability(layout: GadgetLayout, b: Iterable[int]) -> ReachabilityResult:
-    """Every level element of ``b`` is TEQ-reachable from a chain node in ``b``.
-
-    ``b`` must contain the decision node.
-    """
-    t = layout.tournament
-    return _chain_reachability(layout, subset_mask(t, b), teq_solver(t))
-
-
-def _chain_reachability(
-    layout: GadgetLayout, mask: int, teq_of: Callable[[int], int]
-) -> ReachabilityResult:
-    t = layout.tournament
-    if not mask >> decision_node(layout) & 1:
-        raise ValueError("subset must contain the decision node")
-    # a is reached once a TEQ-dominator of a within the mask is reached
-    in_edges = [(1 << a, teq_of(t.cols[a] & mask)) for a in set_of(mask)]
-    chain = subset_mask(t, layout.chain)
-    reached = grown = chain & mask
-    while True:
-        for bit, e in in_edges:
-            if e & grown:
-                grown |= bit
-        if grown == reached:
-            break
-        reached = grown
-    missing = tuple(t.names[u] for u in sorted(set_of(mask & ~chain & ~reached)))
-    return ReachabilityResult(ok=not missing, violations=missing)
-
-
 def sample_chain_reachability(
     layout: GadgetLayout, samples: int, seed: int
-) -> tuple[int, list[tuple[frozenset[int], ReachabilityResult]]]:
-    """Run check_chain_reachability on seeded random subsets containing the decision node.
+) -> tuple[int, list[tuple[frozenset[int], tuple[str, ...]]]]:
+    """Check, on seeded random subsets b that contain the decision node, that
+    every level element of b is TEQ-reachable from a chain node in b.
 
-    Each alternative is included with probability 1/2.  Returns the number
-    of subsets checked and the failing (subset, result) pairs.
+    Each alternative is included with probability 1/2.  The reached set is
+    one forward closure from the chain nodes in b along the TEQ relation on
+    b.  Returns the number of subsets checked and, for each failing one,
+    the subset and the names of its unreached elements in index order.
     """
     if samples < 0:
         raise ValueError("sample count must be nonnegative")
     t = layout.tournament
     d = decision_node(layout)
+    chain = subset_mask(t, layout.chain)
     teq_of = teq_solver(t)
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
-        b = {i for i in range(t.n) if rng.getrandbits(1)}
-        b.add(d)
-        res = _chain_reachability(layout, subset_mask(t, b), teq_of)
-        if not res.ok:
-            failures.append((frozenset(b), res))
+        mask = 1 << d | sum(1 << i for i in range(t.n) if rng.getrandbits(1))
+        # bit b of in_edges[a] is set iff b => a within the subset
+        in_edges = {a: teq_of(t.cols[a] & mask) for a in _pykernel._mask_iter(mask)}
+        missing = mask & ~_pykernel.reach_masks(chain & mask, mask, in_edges)
+        if missing:
+            names = tuple(t.names[u] for u in _pykernel._mask_iter(missing))
+            failures.append((set_of(mask), names))
     return samples, failures
 
 

@@ -95,6 +95,13 @@ def source_components(x: frozenset[int], pairs: set[tuple[int, int]]) -> frozens
     return frozenset(a for a in x if all(a in ancestors[b] for b in ancestors[a]))
 
 
+def reached_from(x: frozenset[int], pairs: set[tuple[int, int]]) -> dict[int, frozenset[int]]:
+    """For each a in x, a itself and every b in x that a path in (x, pairs)
+    leads to from a."""
+    ancestors = _ancestors(x, pairs)
+    return {a: frozenset({a} | {b for b in x if a in ancestors[b]}) for a in x}
+
+
 def scc_count(x: frozenset[int], pairs: set[tuple[int, int]]) -> int:
     """Number of strongly connected components of (x, pairs): the distinct
     classes of mutual reachability."""
@@ -221,6 +228,34 @@ def random_cnf(rng: Random, m: int, variables=FIVE_VARS) -> Cnf:
         vs = rng.sample(variables, 3)
         clauses.append(tuple(Literal(v, bool(rng.getrandbits(1))) for v in vs))
     return Cnf(tuple(clauses))
+
+
+def relabel(rng: Random, f: Cnf, names=("p", "q", "r", "s", "t", "u", "v", "w")) -> Cnf:
+    """``f`` with its variables renamed into ``names`` and sign-flipped, the
+    literals of each clause and the clauses shuffled, all from ``rng``.
+    Satisfiability is unchanged."""
+    variables = f.variables
+    rename = dict(zip(variables, rng.sample(names, len(variables))))
+    flip = {v: bool(rng.getrandbits(1)) for v in variables}
+    clauses = []
+    for clause in f.clauses:
+        lits = [Literal(rename[l.variable], l.negated != flip[l.variable]) for l in clause]
+        rng.shuffle(lits)
+        clauses.append(tuple(lits))
+    rng.shuffle(clauses)
+    return Cnf(tuple(clauses))
+
+
+def random_unsat_cnf(rng: Random, m: int, variables=FOUR_VARS) -> Cnf:
+    """The first of ``random_cnf``'s draws that no assignment to
+    ``variables`` satisfies, by truth table."""
+    while True:
+        f = random_cnf(rng, m, variables)
+        if not any(
+            evaluate(f, dict(zip(variables, values)))
+            for values in product((False, True), repeat=len(variables))
+        ):
+            return f
 
 
 def format_dimacs(f: Cnf) -> str:

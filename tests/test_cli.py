@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from tsol import cli
+from tsol import _pykernel, cli
 from tsol.core import (
     Tournament,
     default_names,
@@ -127,6 +127,26 @@ class TestSolve:
         assert lines[1].startswith("path: a => ")
         assert lines[2] == "TEQ{a b c d e} = {a b c}"
         assert len(lines) == 2 + 6
+
+    @pytest.mark.parametrize("depth", ["0", "2"])
+    @pytest.mark.parametrize("extra", [[], ["--member", "a"], ["--member", "e"]])
+    def test_traced_exact_solve_runs_the_recursion_once(
+        self, capsys, monkeypatch, fig1_file, depth, extra
+    ):
+        # the answer comes from the trace's solver, so one memo serves both
+        made = []
+        real = _pykernel._exact_solver
+
+        def counting(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(_pykernel, "_exact_solver", counting)
+        argv = ["solve", "--input", fig1_file, "--trace", depth, *extra]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "TEQ{a b c d e} = {a b c}" in out.splitlines()
+        assert len(made) == 1
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -550,7 +570,6 @@ class TestBench:
         assert lines[0].split() == [
             "size",
             "method",
-            "backend",
             "mean_ms",
             "median_ms",
             "mean_calls",

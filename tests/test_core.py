@@ -19,6 +19,7 @@ from tsol.core import (
 
 from oracles import (
     condorcet_winner,
+    reached_from,
     restrict,
     scc_count,
     source_components,
@@ -198,8 +199,9 @@ class TestTopCycle:
         assert _pykernel.top_cycle_masks(t.full_mask, t.cols)
 
     def test_every_relation_on_four_nodes_matches_oracles(self):
-        # all 4,096 loop-free edge sets on 4 nodes, each on all 15 carriers;
-        # edges that leave the carrier stay in in_edges and must be ignored
+        # all 4,096 loop-free edge sets on 4 nodes, each on all 15 carriers
+        # (and the closure from every seed within the carrier); edges that
+        # leave the carrier stay in in_edges and must be ignored
         edges = [(b, a) for b in range(4) for a in range(4) if a != b]
         for bits in range(1 << len(edges)):
             pairs = [e for k, e in enumerate(edges) if bits >> k & 1]
@@ -209,6 +211,13 @@ class TestTopCycle:
                 tc = _pykernel.top_cycle_masks(carrier, in_edges)
                 assert {a for a in range(4) if tc >> a & 1} == source_components(x, pairs)
                 assert _pykernel.scc_count_masks(carrier, in_edges) == scc_count(x, pairs)
+                reach = reached_from(x, pairs)
+                seed = carrier
+                while seed:  # every nonempty seed within the carrier
+                    got = _pykernel.reach_masks(seed, carrier, in_edges)
+                    want = set().union(*(reach[a] for a in x if seed >> a & 1))
+                    assert {a for a in range(4) if got >> a & 1} == want
+                    seed = (seed - 1) & carrier
 
 
 class TestIsTransitive:

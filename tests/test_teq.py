@@ -212,6 +212,11 @@ class TestTrace:
             "  D(e) = {a c d}: TEQ = {a c d}",
         ]
 
+    def test_shared_solver_gives_the_same_trace(self, fig1):
+        teq_of = teq_solver(fig1)
+        teq_of(fig1.full_mask)
+        assert teq_trace(fig1, depth_limit=2, teq_of=teq_of) == teq_trace(fig1, depth_limit=2)
+
     def test_depth_zero_root_only(self, fig1):
         assert teq_trace(fig1, depth_limit=0) == "TEQ{a b c d e} = {a b c}\n"
 
