@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+# (memo, pairs, bits): a TEQ memo shared by the tournaments masks_from_bits(n, bits)
+# of one n, with pairs = core.pair_positions(n); see _exact_solver
+Shared = tuple[dict[int, int], Sequence[int], int]
+
 
 def _tarjan(carrier: int, out: dict[int, int]) -> tuple[dict[int, int], int]:
     """Strongly connected components of the carrier under ``out`` adjacency."""
@@ -164,7 +168,7 @@ def scc_count_masks(carrier: int, in_edges) -> int:
 # --- tournament equilibrium set ----------------------------------------------
 
 
-def _exact_solver(cols: Sequence[int], stats: list[int]):
+def _exact_solver(cols: Sequence[int], stats: list[int], shared: Shared | None = None):
     """The exact TEQ recursion on proper subsets, as a closure over one memo.
 
     ``solve(mask)`` first shrinks ``mask`` to its dominance top cycle TC and
@@ -185,8 +189,25 @@ def _exact_solver(cols: Sequence[int], stats: list[int]):
     sets evaluated, that is the cache misses.  The memo is keyed by top
     cycle; a singleton one (a Condorcet winner) goes through it like any
     other, counts as evaluated, and is its own TEQ without recursion.
+
+    Without ``shared`` the memo is fresh and lives as long as ``solve``.
+    ``shared = (memo, pairs, bits)`` instead names a caller-owned memo that
+    outlives one tournament: the tournaments are ``masks_from_bits(n,
+    bits)`` for one n, ``pairs`` is ``core.pair_positions(n)``, and the key
+    of top cycle K is K plus ``bits & pairs[K]``, which fixes the
+    tournament restricted to K.  That is sound because TEQ(K) depends on
+    nothing else: every ``cols`` read inside ``solve`` is masked by the
+    queried set or a subset of it, the recursion below K queries subsets
+    of K only, and the shrink to K happens before the lookup.  Every key
+    is a proper subset of the n alternatives, so a memo holds at most
+    sum over 1 <= k < n of C(n, k) * 2^C(k, 2) entries: 7,300 at n = 6
+    and 253,449 at n = 7.
     """
-    memo: dict[int, int] = {}
+    if shared is None:
+        memo: dict[int, int] = {}
+    else:
+        memo, pairs, bits = shared
+        n = len(cols)
 
     def solve(mask: int) -> int:
         stats[0] += 1
@@ -207,7 +228,8 @@ def _exact_solver(cols: Sequence[int], stats: list[int]):
             doms = cols[a] & mask & ~tc
             tc |= doms
             frontier |= doms
-        hit = memo.get(tc)
+        key = tc if shared is None else tc | (bits & pairs[tc]) << n
+        hit = memo.get(key)
         if hit is not None:
             return hit
         stats[1] += 1
@@ -221,13 +243,15 @@ def _exact_solver(cols: Sequence[int], stats: list[int]):
                 m &= m - 1
                 in_e[a] = solve(cols[a] & tc)  # nonempty: TC is strongly connected
             res = top_cycle_masks(tc, in_e)
-        memo[tc] = res
+        memo[key] = res
         return res
 
     return solve
 
 
-def teq_exact_masks(cols: Sequence[int], x_mask: int) -> tuple[int, list[int], int, int]:
+def teq_exact_masks(
+    cols: Sequence[int], x_mask: int, shared: Shared | None = None
+) -> tuple[int, list[int], int, int]:
     """Exact recursive TEQ on the carrier ``x_mask``, given the column masks.
 
     Returns ``(teq_mask, in_edges, calls, subsets)`` where ``in_edges[a]``
@@ -236,13 +260,15 @@ def teq_exact_masks(cols: Sequence[int], x_mask: int) -> tuple[int, list[int], i
     ``in_edges`` covers the whole carrier.
     ``calls`` counts solver entries on nonempty sets, cache hits included;
     ``subsets`` counts sets evaluated: the carrier and each distinct top
-    cycle, singletons included.
+    cycle, singletons included.  With ``shared`` (see ``_exact_solver``),
+    nested top cycles are looked up in a memo that earlier tournaments
+    filled, so ``calls`` and ``subsets`` count this call's share only.
     """
     n = len(cols)
     if x_mask == 0:
         raise ValueError("empty carrier")
     stats = [1, 1]  # calls, subsets; the carrier counts once in each
-    solve = _exact_solver(cols, stats)
+    solve = _exact_solver(cols, stats, shared)
     in_edges = [0] * n
     m = x_mask
     while m:
@@ -255,19 +281,26 @@ def teq_exact_masks(cols: Sequence[int], x_mask: int) -> tuple[int, list[int], i
 
 
 def teq_heuristic_masks(
-    cols: Sequence[int], x_mask: int
+    cols: Sequence[int], x_mask: int, shared: Shared | None = None
 ) -> tuple[int, int, list[int], int, int, int]:
     """Iterative-deepening TEQ heuristic seeded with minimal dominator sets,
     given the column masks.
 
     Returns ``(teq_mask, base_mask, in_edges, calls, subsets, iterations)``
     where ``base_mask`` is the explored base set and ``iterations`` the
-    outer loop count of the top-level procedure.
+    outer loop count of the top-level procedure.  Nested sets are memoized
+    by their raw mask; ``shared`` adds the pair bits to the key as in
+    ``_exact_solver``, which is sound for the same reason: ``explore``
+    reads ``cols`` only masked by the set it explores.  The same bound
+    holds.
     """
     n = len(cols)
     if x_mask == 0:
         raise ValueError("empty carrier")
-    memo: dict[int, int] = {}
+    if shared is None:
+        memo: dict[int, int] = {}
+    else:
+        memo, pairs, bits = shared
     stats = [1, 1]  # calls, computed; the carrier counts once in each
 
     def explore(mask: int) -> tuple[int, int, list[int], int]:
@@ -311,10 +344,11 @@ def teq_heuristic_masks(
         if not mask:
             return 0
         stats[0] += 1
-        hit = memo.get(mask)
+        key = mask if shared is None else mask | (bits & pairs[mask]) << n
+        hit = memo.get(key)
         if hit is None:
             stats[1] += 1
-            hit = memo[mask] = explore(mask)[0]
+            hit = memo[key] = explore(mask)[0]
         return hit
 
     teq, base, in_edges, iterations = explore(x_mask)

@@ -150,6 +150,20 @@ def masks_from_bits(n: int, bits: int) -> tuple[list[int], list[int]]:
     return rows, cols
 
 
+def pair_positions(n: int) -> list[int]:
+    """For each set X of ``0..n-1``, the mask of the bit positions that
+    ``masks_from_bits`` reads for the pairs inside X.
+
+    ``bits & pair_positions(n)[X]`` fixes the tournament of ``bits``
+    restricted to X, and nothing else.
+    """
+    pairs = [1 << i | 1 << j for i, j in combinations(range(n), 2)]
+    return [
+        sum(1 << k for k, pair in enumerate(pairs) if x & pair == pair)
+        for x in range(1 << n)
+    ]
+
+
 def enumerate_tournaments(n: int) -> Iterator[Tournament]:
     """All labeled tournaments on ``n`` alternatives, ordered by bit pattern."""
     if not 1 <= n <= ENUMERATION_CAP:

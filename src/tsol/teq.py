@@ -10,7 +10,13 @@ those by bit pattern.  ``teq_exact`` starts a fresh memo on every call.
 ``teq_member``, ``teq_trace`` and the gadget checks in
 ``tsol.verification`` ask about many sets of one tournament and share
 one memo among them: the TEQ of a set depends only on the set, so a memo
-keyed by top cycle stays valid for every query on that tournament.  The
+keyed by top cycle stays valid for every query on that tournament.  An
+exhaustive sweep (``tsol.verification.sweep``) shares one exact and one
+heuristic memo among all the tournaments of one task: the TEQ of a set
+depends only on the tournament restricted to it, so each key is the set
+plus the bit pattern's bits for the pairs inside it
+(``tsol.core.pair_positions``), and one memo holds at most
+sum over 1 <= k < n of C(n, k) * 2^C(k, 2) entries (7,300 at n = 6).  The
 heuristic explores outward from the alternatives with the smallest
 dominator sets and, on every input seen so far, matches the exact set;
 equality is checked by sweeps, never assumed.

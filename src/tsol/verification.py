@@ -21,6 +21,7 @@ from tsol.banks import banks_member
 from tsol.core import (
     ENUMERATION_CAP,
     masks_from_bits,
+    pair_positions,
     random_tournament,
     set_of,
     subset_mask,
@@ -330,16 +331,22 @@ class SweepReport:
 
 
 def _instance_failures(
-    n: int, rows: Sequence[int], cols: Sequence[int], checks: tuple[str, ...]
+    n: int,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    checks: tuple[str, ...],
+    exact_shared: _pykernel.Shared | None = None,
+    heuristic_shared: _pykernel.Shared | None = None,
 ) -> list[str]:
     """The checks that fail on the tournament given by its row and column masks.
 
     Banks is computed only as far as a check reads it: TEQ <= Banks holds
     iff every TEQ member is a Banks member, and the whole Banks set is
-    compared only when a Condorcet winner exists.
+    compared only when a Condorcet winner exists.  ``exact_shared`` and
+    ``heuristic_shared`` go to the two TEQ kernels as their ``shared``.
     """
     full = (1 << n) - 1
-    teq_mask, in_edges, _, _ = _pykernel.teq_exact_masks(cols, full)
+    teq_mask, in_edges, _, _ = _pykernel.teq_exact_masks(cols, full, exact_shared)
     failed = []
     if "nonempty" in checks and teq_mask == 0:
         failed.append("nonempty")
@@ -355,7 +362,7 @@ def _instance_failures(
             if teq_mask != want or _pykernel.banks_set_masks(rows, cols, full) != want:
                 failed.append("condorcet")
     if "heuristic-eq" in checks:
-        h_mask = _pykernel.teq_heuristic_masks(cols, full)[0]
+        h_mask = _pykernel.teq_heuristic_masks(cols, full, heuristic_shared)[0]
         if h_mask != teq_mask:
             failed.append("heuristic-eq")
     if "single-scc" in checks:
@@ -369,20 +376,34 @@ def _random_seed(seed: int, n: int, i: int) -> int:
 
 
 def _sweep_task(args: tuple) -> tuple[int, dict[str, int], list[str]]:
+    """Check instances ``lo..hi-1`` of one size.
+
+    An exhaustive task shares one exact and one heuristic TEQ memo among
+    all its instances, keyed by each instance's bit pattern restricted to
+    the memoized set (see ``_pykernel._exact_solver``).
+    """
     n, lo, hi, checks, mode, seed = args
     fail_counts = {c: 0 for c in checks}
     counterexamples: list[str] = []
+    exhaustive = mode == "exhaustive"
+    if exhaustive:
+        pairs = pair_positions(n)
+        exact_memo: dict[int, int] = {}
+        heuristic_memo: dict[int, int] = {}
     for i in range(lo, hi):
-        if mode == "exhaustive":
+        if exhaustive:
             rows, cols = masks_from_bits(n, i)
-            encoding = f"n={n} bits={i}"
+            failed = _instance_failures(
+                n, rows, cols, checks, (exact_memo, pairs, i), (heuristic_memo, pairs, i)
+            )
         else:
             t = random_tournament(n, _random_seed(seed, n, i))
-            rows, cols = t.rows, t.cols
-            encoding = f"n={n} seed={_random_seed(seed, n, i)}"
-        for check in _instance_failures(n, rows, cols, checks):
-            fail_counts[check] += 1
-            counterexamples.append(f"{check} {encoding}")
+            failed = _instance_failures(n, t.rows, t.cols, checks)
+        if failed:
+            encoding = f"bits={i}" if exhaustive else f"seed={_random_seed(seed, n, i)}"
+            for check in failed:
+                fail_counts[check] += 1
+                counterexamples.append(f"{check} n={n} {encoding}")
     return hi - lo, fail_counts, counterexamples
 
 

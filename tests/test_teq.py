@@ -1,3 +1,4 @@
+from math import comb
 from random import Random
 
 import pytest
@@ -8,6 +9,8 @@ from tsol import _pykernel
 from tsol.banks import banks_set
 from tsol.core import (
     enumerate_tournaments,
+    masks_from_bits,
+    pair_positions,
     random_tournament,
     tournament_from_bits,
 )
@@ -197,6 +200,54 @@ class TestSharedSolver:
         for _ in range(40):
             mask = rng.getrandbits(t.n) or 1
             assert teq_of(mask) == _pykernel.teq_exact_masks(t.cols, mask)[0]
+
+
+class TestSweepMemo:
+    """One memo per kernel shared across every tournament of a size, in bit
+    order, as an exhaustive sweep task shares it."""
+
+    @staticmethod
+    def mismatches(n, pairs):
+        """Instances whose shared-memo tuples differ from fresh calls (apart
+        from ``calls`` and ``subsets``), and the two memos' sizes."""
+        full = (1 << n) - 1
+        exact_memo, heuristic_memo = {}, {}
+        bad_exact = bad_heuristic = 0
+        for bits in range(1 << comb(n, 2)):
+            _, cols = masks_from_bits(n, bits)
+            fresh = _pykernel.teq_exact_masks(cols, full)
+            shared = _pykernel.teq_exact_masks(cols, full, (exact_memo, pairs, bits))
+            bad_exact += fresh[:2] != shared[:2]
+            fresh = _pykernel.teq_heuristic_masks(cols, full)
+            shared = _pykernel.teq_heuristic_masks(cols, full, (heuristic_memo, pairs, bits))
+            bad_heuristic += (fresh[:3], fresh[5]) != (shared[:3], shared[5])
+        return bad_exact, bad_heuristic, len(exact_memo), len(heuristic_memo)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_fresh_calls_within_the_bound(self, n):
+        bad_exact, bad_heuristic, exact_size, heuristic_size = self.mismatches(
+            n, pair_positions(n)
+        )
+        assert (bad_exact, bad_heuristic) == (0, 0)
+        bound = sum(comb(n, k) * 2 ** comb(k, 2) for k in range(1, n))
+        assert exact_size <= bound and heuristic_size <= bound
+
+    def test_a_key_without_the_pair_bits_fails(self):
+        # every pair table entry 0: the memo is keyed by the set alone
+        assert self.mismatches(5, [0] * 32)[:2] == (90, 444)
+
+    def test_pair_positions_fix_the_restriction(self):
+        n = 5
+        pairs = pair_positions(n)
+        rng = Random(4)
+        for x in range(1 << n):
+            assert pairs[x].bit_count() == comb(x.bit_count(), 2)
+            members = [a for a in range(n) if x >> a & 1]
+            for _ in range(8):
+                bits = rng.getrandbits(comb(n, 2))
+                cols = masks_from_bits(n, bits)[1]
+                kept = masks_from_bits(n, bits & pairs[x])[1]
+                assert [cols[a] & x for a in members] == [kept[a] & x for a in members]
 
 
 class TestTrace:

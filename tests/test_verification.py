@@ -214,7 +214,8 @@ class TestUnsatisfiableSide:
     def test_teq_on_random_unsatisfiable_formulas(self, capsys, tmp_path):
         rng = Random(25)
         formulas = [random_unsat_cnf(rng, rng.randint(10, 12)) for _ in range(2)]
-        assert [f.m for f in formulas] == [11, 12]
+        formulas.append(random_unsat_cnf(Random(1), 13))
+        assert [f.m for f in formulas] == [11, 12, 13]
         self.verify_teq_unsat(capsys, tmp_path, formulas)
 
     @staticmethod
@@ -371,9 +372,12 @@ class TestSweep:
         assert report.total_failures == 0
 
     def test_worker_count_does_not_change_bytes(self):
-        one = sweep([4], workers=1)
-        three = sweep([4], workers=3)
-        assert one.serialize() == three.serialize()
+        # each task starts fresh TEQ memos at its own chunk start, and the
+        # worker count moves the chunk starts
+        for n, counts in ((4, (3,)), (5, (2, 3, 7))):
+            one = sweep([n], workers=1).serialize()
+            for workers in counts:
+                assert sweep([n], workers=workers).serialize() == one
 
     def test_random_mode_deterministic(self):
         a = sweep([8], mode="random", samples=20, seed=5)
@@ -412,8 +416,8 @@ class TestSweep:
     def test_checks_catch_a_teq_that_is_the_carrier(self, monkeypatch):
         exact = _pykernel.teq_exact_masks
 
-        def carrier(cols, x_mask):
-            return (x_mask, *exact(cols, x_mask)[1:])
+        def carrier(cols, x_mask, shared=None):
+            return (x_mask, *exact(cols, x_mask, shared)[1:])
 
         monkeypatch.setattr(_pykernel, "teq_exact_masks", carrier)
         # condorcet, heuristic-eq, nonempty, single-scc, teq-in-banks
@@ -426,8 +430,8 @@ class TestSweep:
     def test_checks_catch_an_empty_teq(self, monkeypatch):
         exact = _pykernel.teq_exact_masks
 
-        def empty(cols, x_mask):
-            return (0, *exact(cols, x_mask)[1:])
+        def empty(cols, x_mask, shared=None):
+            return (0, *exact(cols, x_mask, shared)[1:])
 
         monkeypatch.setattr(_pykernel, "teq_exact_masks", empty)
         assert self.fail_counts(sweep([4])) == (32, 64, 64, 64, 0)
