@@ -18,8 +18,13 @@ from typing import Sequence
 Shared = tuple[dict[int, int], Sequence[int], int]
 
 
-def _tarjan(carrier: int, out: dict[int, int]) -> tuple[dict[int, int], int]:
-    """Strongly connected components of the carrier under ``out`` adjacency."""
+def _tarjan(carrier: int, in_edges) -> tuple[dict[int, int], int]:
+    """Strongly connected components of the carrier, numbered 0..ncomp-1.
+
+    The search walks the edges backwards, from each node to its
+    in-neighbours ``in_edges[v] & carrier``: reversing every edge leaves
+    the strongly connected components unchanged.
+    """
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     comp: dict[int, int] = {}
@@ -37,7 +42,7 @@ def _tarjan(carrier: int, out: dict[int, int]) -> tuple[dict[int, int], int]:
         counter += 1
         stack.append(root)
         onstack |= 1 << root
-        frames = [[root, out.get(root, 0) & carrier]]
+        frames = [[root, in_edges[root] & carrier]]
         while frames:
             frame = frames[-1]
             v = frame[0]
@@ -53,7 +58,7 @@ def _tarjan(carrier: int, out: dict[int, int]) -> tuple[dict[int, int], int]:
                     counter += 1
                     stack.append(w)
                     onstack |= 1 << w
-                    frames.append([w, out.get(w, 0) & carrier])
+                    frames.append([w, in_edges[w] & carrier])
                     advanced = True
                     break
                 if onstack >> w & 1 and index[w] < low[v]:
@@ -76,27 +81,13 @@ def _tarjan(carrier: int, out: dict[int, int]) -> tuple[dict[int, int], int]:
     return comp, ncomp
 
 
-def _out_edges(carrier: int, in_edges) -> dict[int, int]:
-    out: dict[int, int] = {}
-    m = carrier
-    while m:
-        a = (m & -m).bit_length() - 1
-        m &= m - 1
-        e = in_edges[a] & carrier
-        while e:
-            b = (e & -e).bit_length() - 1
-            e &= e - 1
-            out[b] = out.get(b, 0) | (1 << a)
-    return out
-
-
 def top_cycle_masks(carrier: int, in_edges) -> int:
     """Union of the source components of the condensation.
 
     ``in_edges[a]`` holds the mask of b with an edge b -> a; works with a
     list indexed by alternative or a dict.
     """
-    comp, ncomp = _tarjan(carrier, _out_edges(carrier, in_edges))
+    comp, ncomp = _tarjan(carrier, in_edges)
     incoming = [False] * ncomp
     m = carrier
     while m:
@@ -141,6 +132,22 @@ def reach_masks(seed: int, carrier: int, in_edges) -> int:
     return reached
 
 
+def back_masks(seed: int, carrier: int, in_edges) -> int:
+    """Every node of the carrier that reaches ``seed`` by a path within it.
+
+    ``seed`` lies in the carrier and is part of the result; ``in_edges`` is
+    indexed as in ``top_cycle_masks``.
+    """
+    back = frontier = seed
+    while frontier:
+        a = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = in_edges[a] & carrier & ~back
+        back |= new
+        frontier |= new
+    return back
+
+
 def scc_count_masks(carrier: int, in_edges) -> int:
     """Number of strongly connected components of the relation.
 
@@ -153,19 +160,30 @@ def scc_count_masks(carrier: int, in_edges) -> int:
     rest = carrier
     while rest:
         v = rest & -rest
-        back = frontier = v
-        while frontier:
-            a = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            new = in_edges[a] & rest & ~back
-            back |= new
-            frontier |= new
-        rest &= ~reach_masks(v, back, in_edges)
+        rest &= ~reach_masks(v, back_masks(v, rest, in_edges), in_edges)
         count += 1
     return count
 
 
 # --- tournament equilibrium set ----------------------------------------------
+
+
+def _fewest_dominators(cols: Sequence[int], mask: int) -> tuple[int, int]:
+    """``(k, seed)``: the fewest dominators k that a member of ``mask`` has
+    within it, and the mask of the members with exactly k."""
+    best = -1
+    seed = 0
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        k = (cols[low.bit_length() - 1] & mask).bit_count()
+        if best < 0 or k < best:
+            best = k
+            seed = low
+        elif k == best:
+            seed |= low
+    return best, seed
 
 
 def _exact_solver(cols: Sequence[int], stats: list[int], shared: Shared | None = None):
@@ -179,11 +197,12 @@ def _exact_solver(cols: Sequence[int], stats: list[int], shared: Shared | None =
     TC(X) and lies in no source component.  (This also follows from
     TEQ <= Banks <= TC, Schwartz 1990.)
 
-    TC needs no component search.  The alternative with the fewest
+    TC needs no component search.  Every alternative with the fewest
     dominators in the mask (the most wins) lies in TC: an outsider beats
     only outsiders, so it wins at most |X - TC| - 1 times, while every
     member of TC beats all |X - TC| outsiders.  TC is then the closure of
-    that alternative under "add every dominator within the mask".
+    that tie set under "add every dominator within the mask", the
+    backward closure ``back_masks`` under the ``cols`` edges.
 
     ``stats[0]`` counts entries (cache hits included) and ``stats[1]`` the
     sets evaluated, that is the cache misses.  The memo is keyed by top
@@ -211,30 +230,15 @@ def _exact_solver(cols: Sequence[int], stats: list[int], shared: Shared | None =
 
     def solve(mask: int) -> int:
         stats[0] += 1
-        best = -1
-        top = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            k = (cols[low.bit_length() - 1] & mask).bit_count()
-            if best < 0 or k < best:
-                best = k
-                top = low
-        tc = frontier = top
-        while frontier:
-            a = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            doms = cols[a] & mask & ~tc
-            tc |= doms
-            frontier |= doms
+        best, seed = _fewest_dominators(cols, mask)
+        tc = back_masks(seed, mask, cols)
         key = tc if shared is None else tc | (bits & pairs[tc]) << n
         hit = memo.get(key)
         if hit is not None:
             return hit
         stats[1] += 1
         if best == 0:
-            res = top  # a Condorcet winner: nothing to recurse into
+            res = seed  # a Condorcet winner: nothing to recurse into
         else:
             in_e: dict[int, int] = {}
             m = tc
@@ -288,11 +292,20 @@ def teq_heuristic_masks(
 
     Returns ``(teq_mask, base_mask, in_edges, calls, subsets, iterations)``
     where ``base_mask`` is the explored base set and ``iterations`` the
-    outer loop count of the top-level procedure.  Nested sets are memoized
-    by their raw mask; ``shared`` adds the pair bits to the key as in
-    ``_exact_solver``, which is sound for the same reason: ``explore``
-    reads ``cols`` only masked by the set it explores.  The same bound
-    holds.
+    outer loop count of the top-level procedure.
+
+    Soundness: when ``explore`` stops, every member a of the base B has
+    been expanded and TEQ(D(a)) <= B, so B is TEQ-retentive if the
+    nested answers are exact.  A source component C of the relation on B
+    is then retentive, and no proper subset of C is, since C is strongly
+    connected: C is a minimal TEQ-retentive set of X.  TEQ(X) is the union
+    of all of them, so the heuristic is exact wherever the queried set,
+    and every set it recurses into, has one minimal retentive set.
+
+    Nested sets are memoized by their raw mask; ``shared`` adds the pair
+    bits to the key as in ``_exact_solver``, which is sound for the same
+    reason: ``explore`` reads ``cols`` only masked by the set it explores.
+    The same bound holds.
     """
     n = len(cols)
     if x_mask == 0:
@@ -305,20 +318,7 @@ def teq_heuristic_masks(
 
     def explore(mask: int) -> tuple[int, int, list[int], int]:
         """One heuristic pass: ``(teq, base, in_edges, iterations)``."""
-        # seed with the alternatives whose dominator sets are smallest
-        best = -1
-        seed = 0
-        m = mask
-        while m:
-            low = m & -m
-            a = low.bit_length() - 1
-            m &= m - 1
-            k = (cols[a] & mask).bit_count()
-            if best < 0 or k < best:
-                best = k
-                seed = low
-            elif k == best:
-                seed |= low
+        best, seed = _fewest_dominators(cols, mask)
         in_edges = [0] * n
         if best == 0:
             return seed, seed, in_edges, 1  # a Condorcet winner: what one pass below returns

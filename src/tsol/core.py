@@ -116,7 +116,7 @@ def subset_mask(t: Tournament, x: Iterable[int] | None) -> int:
     return m
 
 
-def tournament_from_bits(n: int, bits: int, names: tuple[str, ...] | None = None) -> Tournament:
+def tournament_from_bits(n: int, bits: int) -> Tournament:
     """Build the labeled tournament encoded by an upper-triangle bit pattern.
 
     Pair ``k`` in the lexicographic listing of ``(i, j)`` with ``i < j``
@@ -128,7 +128,7 @@ def tournament_from_bits(n: int, bits: int, names: tuple[str, ...] | None = None
     if bits < 0 or bits >> pair_count:
         raise ValueError(f"bit pattern out of range for n={n}")
     rows, _ = masks_from_bits(n, bits)
-    return Tournament(names or default_names(n), tuple(rows))
+    return Tournament(default_names(n), tuple(rows))
 
 
 def masks_from_bits(n: int, bits: int) -> tuple[list[int], list[int]]:
@@ -168,9 +168,8 @@ def enumerate_tournaments(n: int) -> Iterator[Tournament]:
     """All labeled tournaments on ``n`` alternatives, ordered by bit pattern."""
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"n={n} outside the enumeration cap 1..{ENUMERATION_CAP}")
-    names = default_names(n)
     for bits in range(1 << (n * (n - 1) // 2)):
-        yield tournament_from_bits(n, bits, names)
+        yield tournament_from_bits(n, bits)
 
 
 def random_tournament(n: int, seed: int) -> Tournament:

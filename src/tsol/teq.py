@@ -18,8 +18,10 @@ plus the bit pattern's bits for the pairs inside it
 (``tsol.core.pair_positions``), and one memo holds at most
 sum over 1 <= k < n of C(n, k) * 2^C(k, 2) entries (7,300 at n = 6).  The
 heuristic explores outward from the alternatives with the smallest
-dominator sets and, on every input seen so far, matches the exact set;
-equality is checked by sweeps, never assumed.
+dominator sets.  It returns a union of minimal TEQ-retentive sets, so it
+is exact wherever the queried set and every set it recurses into has one
+minimal retentive set (``_pykernel.teq_heuristic_masks``); sweeps check
+equality, it is never assumed.
 """
 
 from __future__ import annotations
@@ -111,12 +113,10 @@ def teq_heuristic(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
 
 
 def teq_trace(
-    t: Tournament,
-    x: Iterable[int] | None = None,
-    depth_limit: int = 1,
-    teq_of: Callable[[int], int] | None = None,
+    t: Tournament, depth_limit: int = 1, teq_of: Callable[[int], int] | None = None
 ) -> str:
-    """Deterministic indented trace of the TEQ recursion down to a depth.
+    """Deterministic indented trace of the TEQ recursion on all of ``t``
+    down to a depth.
 
     Each line reports one dominator set and its TEQ; sets print as names
     sorted alphabetically.  Dominator-set lines are omitted for
@@ -126,9 +126,7 @@ def teq_trace(
     """
     if depth_limit < 0:
         raise ValueError("depth limit must be nonnegative")
-    mask = subset_mask(t, x)
-    if mask == 0:
-        raise ValueError("empty subset")
+    mask = t.full_mask
     if teq_of is None:
         teq_of = teq_solver(t)
 

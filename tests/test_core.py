@@ -200,7 +200,7 @@ class TestTopCycle:
 
     def test_every_relation_on_four_nodes_matches_oracles(self):
         # all 4,096 loop-free edge sets on 4 nodes, each on all 15 carriers
-        # (and the closure from every seed within the carrier); edges that
+        # (and both closures from every seed within the carrier); edges that
         # leave the carrier stay in in_edges and must be ignored
         edges = [(b, a) for b in range(4) for a in range(4) if a != b]
         for bits in range(1 << len(edges)):
@@ -216,6 +216,9 @@ class TestTopCycle:
                 while seed:  # every nonempty seed within the carrier
                     got = _pykernel.reach_masks(seed, carrier, in_edges)
                     want = set().union(*(reach[a] for a in x if seed >> a & 1))
+                    assert {a for a in range(4) if got >> a & 1} == want
+                    got = _pykernel.back_masks(seed, carrier, in_edges)
+                    want = {a for a in x if any(seed >> b & 1 for b in reach[a])}
                     assert {a for a in range(4) if got >> a & 1} == want
                     seed = (seed - 1) & carrier
 

@@ -132,6 +132,18 @@ class TestTeqHeuristic:
         t = random_tournament(n, seed)
         assert teq_heuristic(t).teq_set == teq_exact(t).teq_set
 
+    def test_seed_is_every_alternative_with_the_fewest_dominators(self):
+        # the heuristic seeds from this tie set; the exact solver closes
+        # its top cycle from it
+        for n in range(1, 5):
+            for t in enumerate_tournaments(n):
+                for mask in range(1, 1 << n):
+                    x = [a for a in range(n) if mask >> a & 1]
+                    doms = {a: sum(t.dominates(b, a) for b in x) for a in x}
+                    k = min(doms.values())
+                    seed = sum(1 << a for a in x if doms[a] == k)
+                    assert _pykernel._fewest_dominators(t.cols, mask) == (k, seed)
+
     def test_relation_carrier_is_base_set(self, fig1):
         res = teq_heuristic(fig1)
         for b, a in relation_pairs(res):
@@ -272,7 +284,7 @@ class TestTrace:
         assert teq_trace(fig1, depth_limit=0) == "TEQ{a b c d e} = {a b c}\n"
 
     def test_singleton(self, fig1):
-        assert teq_trace(fig1, [0], depth_limit=3) == "TEQ{a} = {a}\n"
+        assert teq_trace(tournament_from_bits(1, 0), depth_limit=3) == "TEQ{a} = {a}\n"
 
     def test_negative_depth_rejected(self, fig1):
         with pytest.raises(ValueError):

@@ -215,7 +215,8 @@ class TestUnsatisfiableSide:
         rng = Random(25)
         formulas = [random_unsat_cnf(rng, rng.randint(10, 12)) for _ in range(2)]
         formulas.append(random_unsat_cnf(Random(1), 13))
-        assert [f.m for f in formulas] == [11, 12, 13]
+        formulas.append(random_unsat_cnf(Random(1), 14))
+        assert [f.m for f in formulas] == [11, 12, 13, 14]
         self.verify_teq_unsat(capsys, tmp_path, formulas)
 
     @staticmethod
