@@ -10,25 +10,17 @@ Worst-case time is exponential; there is no time limit at this layer.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from tsol import _pykernel
-from tsol.core import Tournament, set_of, subset_mask
+from tsol.core import Tournament, set_of
 
 
-def banks_member(
-    t: Tournament, x: Iterable[int] | None, a: int
-) -> tuple[int, ...] | None:
-    """Witness chain iff ``a`` is in the Banks set of the restriction to ``x``."""
-    mask = subset_mask(t, x)
-    if a < 0 or not mask >> a & 1:
-        raise ValueError(f"alternative {a} not in the queried subset")
-    return _pykernel.banks_member_masks(t.rows, t.cols, mask, a)
+def banks_member(t: Tournament, a: int) -> tuple[int, ...] | None:
+    """Witness chain iff ``a`` is in the Banks set of ``t``."""
+    if not 0 <= a < t.n:
+        raise ValueError(f"alternative {a} out of range for {t.n} alternatives")
+    return _pykernel.banks_member_masks(t.rows, t.cols, t.full_mask, a)
 
 
-def banks_set(t: Tournament, x: Iterable[int] | None = None) -> frozenset[int]:
-    """Maxima of the inclusion-maximal transitive subsets of the restriction."""
-    mask = subset_mask(t, x)
-    if mask == 0:
-        raise ValueError("empty subset")
-    return set_of(_pykernel.banks_set_masks(t.rows, t.cols, mask))
+def banks_set(t: Tournament) -> frozenset[int]:
+    """Maxima of the inclusion-maximal transitive subsets of ``t``."""
+    return set_of(_pykernel.banks_set_masks(t.rows, t.cols, t.full_mask))

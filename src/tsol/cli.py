@@ -21,7 +21,6 @@ from tsol.core import (
     parse_tournament,
     random_tournament,
     set_of,
-    subset_mask,
 )
 from tsol.reductions import (
     banks_gadget,
@@ -114,7 +113,7 @@ def _teq_masks(t: Tournament, method: str, teq_of) -> tuple[int, tuple[int, ...]
     if method == "teq-exact" and teq_of is not None:
         return teq_of(t.full_mask), tuple(teq_of(c) for c in t.cols)
     res = teq_exact(t) if method == "teq-exact" else teq_heuristic(t)
-    return subset_mask(t, res.teq_set), res.in_edges
+    return sum(1 << a for a in res.teq_set), res.in_edges
 
 
 def _solve_text(t: Tournament, args) -> str:
@@ -124,7 +123,7 @@ def _solve_text(t: Tournament, args) -> str:
     if args.member is not None:
         a = t.index(args.member)
         if method == "banks":
-            chain = banks_member(t, None, a)
+            chain = banks_member(t, a)
             out.append("true\n" if chain is not None else "false\n")
             if chain is not None:
                 out.append("chain: " + " > ".join(t.names[i] for i in chain) + "\n")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from tsol._pykernel import _mask_iter
 
@@ -101,19 +101,6 @@ class Tournament:
             return self.names.index(name)
         except ValueError:
             raise ValueError(f"unknown alternative {name!r}") from None
-
-
-def subset_mask(t: Tournament, x: Iterable[int] | None) -> int:
-    """Validate an index subset against ``t`` and pack it into a mask;
-    ``None`` stands for all of ``t``."""
-    if x is None:
-        return t.full_mask
-    m = 0
-    for i in x:
-        if not 0 <= i < t.n:
-            raise ValueError(f"index {i} out of range for {t.n} alternatives")
-        m |= 1 << i
-    return m
 
 
 def tournament_from_bits(n: int, bits: int) -> Tournament:

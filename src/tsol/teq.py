@@ -27,10 +27,10 @@ equality, it is never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from tsol import _pykernel
-from tsol.core import Tournament, set_of, subset_mask
+from tsol.core import Tournament, set_of
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,12 @@ class TeqResult:
     stats: TeqStats
 
 
-def teq_exact(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
-    """Exact TEQ of the restriction of ``t`` to ``x``."""
-    mask = subset_mask(t, x)
-    if mask == 0:
-        raise ValueError("empty subset")
-    teq_mask, in_edges, calls, subsets = _pykernel.teq_exact_masks(t.cols, mask)
+def teq_exact(t: Tournament) -> TeqResult:
+    """Exact TEQ of ``t``; the result's carrier is every alternative."""
+    teq_mask, in_edges, calls, subsets = _pykernel.teq_exact_masks(t.cols, t.full_mask)
     return TeqResult(
         teq_set=set_of(teq_mask),
-        carrier=set_of(mask),
+        carrier=frozenset(range(t.n)),
         in_edges=tuple(in_edges),
         stats=TeqStats(calls=calls, subsets=subsets),
     )
@@ -85,24 +82,22 @@ def teq_solver(t: Tournament) -> Callable[[int], int]:
     return _pykernel._exact_solver(t.cols, [0, 0])
 
 
-def teq_member(t: Tournament, x: Iterable[int] | None, a: int) -> bool:
-    mask = subset_mask(t, x)
-    if a < 0 or not mask >> a & 1:
-        raise ValueError(f"alternative {a} not in the queried subset")
-    return bool(teq_solver(t)(mask) >> a & 1)
+def teq_member(t: Tournament, a: int) -> bool:
+    """Whether ``a`` is in the exact TEQ of ``t``."""
+    if not 0 <= a < t.n:
+        raise ValueError(f"alternative {a} out of range for {t.n} alternatives")
+    return bool(teq_solver(t)(t.full_mask) >> a & 1)
 
 
-def teq_heuristic(t: Tournament, x: Iterable[int] | None = None) -> TeqResult:
-    """Minimal-dominator-set heuristic for TEQ.
+def teq_heuristic(t: Tournament) -> TeqResult:
+    """Minimal-dominator-set heuristic for the TEQ of ``t``.
 
     The result's carrier is the explored base set, which can be a proper
-    subset of ``x``; the top cycle of its relation is the reported TEQ set.
+    subset of the alternatives; the top cycle of its relation is the
+    reported TEQ set.
     """
-    mask = subset_mask(t, x)
-    if mask == 0:
-        raise ValueError("empty subset")
     teq_mask, base_mask, in_edges, calls, subsets, iterations = (
-        _pykernel.teq_heuristic_masks(t.cols, mask)
+        _pykernel.teq_heuristic_masks(t.cols, t.full_mask)
     )
     return TeqResult(
         teq_set=set_of(teq_mask),

@@ -24,7 +24,6 @@ from tsol.core import (
     pair_positions,
     random_tournament,
     set_of,
-    subset_mask,
 )
 
 # unused here: bench/tracing.py wraps this name in this module (its SPANS table)
@@ -148,7 +147,7 @@ def verify_banks_reduction(f: Cnf) -> ReductionVerdict:
     sat = _satisfiable(f)
     layout = banks_gadget(f)
     t = layout.tournament
-    chain = banks_member(t, None, decision_node(layout))
+    chain = banks_member(t, decision_node(layout))
     witness = tuple(t.names[i] for i in chain) if chain else None
     return ReductionVerdict(sat=sat, member=chain is not None, witness=witness)
 
@@ -158,7 +157,7 @@ def verify_teq_reduction(f: Cnf) -> ReductionVerdict:
     sat = _satisfiable(f)
     layout = teq_gadget(f)
     return ReductionVerdict(
-        sat=sat, member=teq_member(layout.tournament, None, decision_node(layout))
+        sat=sat, member=teq_member(layout.tournament, decision_node(layout))
     )
 
 
@@ -180,7 +179,7 @@ def sample_chain_reachability(
         raise ValueError("sample count must be nonnegative")
     t = layout.tournament
     d = decision_node(layout)
-    chain = subset_mask(t, layout.chain)
+    chain = sum(1 << c for c in layout.chain)
     teq_of = teq_solver(t)
     rng = random.Random(seed)
     failures = []

@@ -92,6 +92,24 @@ MUTANTS = (
         "frames.append([w, in_edges[w]])",
         "_tarjan walks edges that leave its carrier",
     ),
+    (
+        "_pykernel.py",
+        "return teq, in_edges, stats[0], stats[1]",
+        "return teq, in_edges, stats[0], stats[0]",
+        "teq_exact_masks reports calls as subsets",
+    ),
+    (
+        "_pykernel.py",
+        "key=lambda u: (-(rows[u] & pool).bit_count(), u)",
+        "key=lambda u: u",
+        "the Banks DFS tries candidates in index order",
+    ),
+    (
+        "_pykernel.py",
+        "if doms == 0:",
+        "if doms == 0 and pool == 0:",
+        "the Banks DFS accepts maximal chains only",
+    ),
 )
 
 

@@ -1,13 +1,23 @@
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsol._pykernel import banks_set_masks
 from tsol.banks import banks_member, banks_set
-from tsol.core import enumerate_tournaments, random_tournament, tournament_from_bits
+from tsol.core import enumerate_tournaments, random_tournament, set_of, tournament_from_bits
+from tsol.reductions import banks_gadget, decision_node
 
-from oracles import banks_oracle, condorcet_winner, restrict, top_extenders, transitive_by_triples
+from oracles import (
+    banks_oracle,
+    condorcet_winner,
+    random_cnf,
+    restrict,
+    top_extenders,
+    transitive_by_triples,
+)
 
 
 def idx(t, *names):
@@ -36,10 +46,10 @@ class TestIsTopExtendable:
 
 class TestBanksMember:
     def test_e_is_not_a_member(self, fig1):
-        assert banks_member(fig1, range(5), fig1.index("e")) is None
+        assert banks_member(fig1, fig1.index("e")) is None
 
     def test_d_witness(self, fig1):
-        chain = banks_member(fig1, range(5), fig1.index("d"))
+        chain = banks_member(fig1, fig1.index("d"))
         assert chain is not None
         assert chain[0] == fig1.index("d")
         assert transitive_by_triples(fig1, chain)
@@ -50,16 +60,29 @@ class TestBanksMember:
         t = tournament_from_bits(3, 0b101)  # a>b, b>c, c>a (cyclic)
         assert not transitive_by_triples(t, range(3))
         for a in range(3):
-            assert banks_member(t, range(3), a) is not None
+            assert banks_member(t, a) is not None
 
-    def test_membership_requires_carrier(self, fig1):
-        with pytest.raises(ValueError):
-            banks_member(fig1, [0, 1], 4)
+    def test_fig1_chains(self, fig1):
+        # the DFS tries the candidate that beats most of the pool first
+        want = {"a": "a b", "b": "b d c", "c": "c a", "d": "d c e", "e": None}
+        for a, name in enumerate(fig1.names):
+            chain = banks_member(fig1, a)
+            got = None if chain is None else " ".join(fig1.names[i] for i in chain)
+            assert got == want[name]
 
-    @pytest.mark.parametrize("x", [None, [0, 1]])
-    def test_negative_index_rejected(self, fig1, x):
-        with pytest.raises(ValueError, match="^alternative -1 not in the queried subset$"):
-            banks_member(fig1, x, -1)
+    def test_gadget_decision_chain(self):
+        layout = banks_gadget(random_cnf(Random(5), 3))
+        t = layout.tournament
+        chain = banks_member(t, decision_node(layout))
+        assert " ".join(t.names[i] for i in chain) == "d x1_2 x1_3 y1 x2_1 x2_2 y2 x3_2"
+
+    def test_negative_index_rejected(self, fig1):
+        with pytest.raises(ValueError, match="^alternative -1 out of range for 5 alternatives$"):
+            banks_member(fig1, -1)
+
+    def test_index_past_the_end_rejected(self, fig1):
+        with pytest.raises(ValueError, match="^alternative 5 out of range for 5 alternatives$"):
+            banks_member(fig1, 5)
 
 
 class TestBanksSet:
@@ -67,7 +90,8 @@ class TestBanksSet:
         assert banks_set(fig1) == set(idx(fig1, "a", "b", "c", "d"))
 
     def test_singleton(self, fig1):
-        assert banks_set(fig1, [2]) == {2}
+        sub = restrict(fig1, [2])
+        assert {sub.names[i] for i in banks_set(sub)} == {fig1.names[2]}
 
     def test_transitive_tournament_top_only(self):
         t = tournament_from_bits(5, (1 << 10) - 1)  # total order, 0 on top
@@ -80,7 +104,8 @@ class TestBanksSet:
 
     def test_oracle_equivalence_on_subsets(self, fig1):
         for sub in ([0, 1, 2], [1, 3, 4], [0, 2, 3, 4]):
-            assert banks_set(fig1, sub) == banks_oracle(fig1, sub)
+            mask = sum(1 << i for i in sub)
+            assert set_of(banks_set_masks(fig1.rows, fig1.cols, mask)) == banks_oracle(fig1, sub)
 
     @given(st.integers(0, 2**32), st.permutations(list(range(6))))
     @settings(max_examples=40, deadline=None)
@@ -104,7 +129,7 @@ class TestBanksSet:
         members = banks_set(t)
         assert members, "Banks set is never empty"
         for a in range(7):
-            chain = banks_member(t, range(7), a)
+            chain = banks_member(t, a)
             assert (chain is not None) == (a in members)
             if chain is not None:
                 assert chain[0] == a
@@ -121,6 +146,7 @@ class TestBanksSet:
     def test_restriction_consistency(self, fig1):
         sub = idx(fig1, "a", "b", "c", "e")
         restricted = restrict(fig1, sub)
-        by_subset = {fig1.names[i] for i in banks_set(fig1, sub)}
+        mask = sum(1 << i for i in sub)
+        by_subset = {fig1.names[i] for i in set_of(banks_set_masks(fig1.rows, fig1.cols, mask))}
         by_restriction = {restricted.names[i] for i in banks_set(restricted)}
         assert by_subset == by_restriction
