@@ -189,7 +189,7 @@ def _fewest_dominators(cols: Sequence[int], mask: int) -> tuple[int, int]:
 def _exact_solver(cols: Sequence[int], stats: list[int], shared: Shared | None = None):
     """The exact TEQ recursion on proper subsets, as a closure over one memo.
 
-    ``solve(mask)`` first shrinks ``mask`` to its dominance top cycle TC and
+    ``solve(mask)`` shrinks ``mask`` to its dominance top cycle TC and
     evaluates TEQ(TC) instead, which is sound because TEQ(X) = TEQ(TC(X)):
     members of TC(X) are beaten only from inside TC(X), so their TEQ
     in-edges stay inside it; every a outside TC(X) has D(a) >= TC(X), and by
@@ -205,20 +205,22 @@ def _exact_solver(cols: Sequence[int], stats: list[int], shared: Shared | None =
     backward closure ``back_masks`` under the ``cols`` edges.
 
     ``stats[0]`` counts entries (cache hits included) and ``stats[1]`` the
-    sets evaluated, that is the cache misses.  The memo is keyed by top
-    cycle; a singleton one (a Condorcet winner) goes through it like any
-    other, counts as evaluated, and is its own TEQ without recursion.
+    sets evaluated, that is the cache misses.  Without ``shared`` the memo
+    is fresh, lives as long as ``solve`` and is keyed by top cycle; a
+    singleton one (a Condorcet winner) goes through it like any other,
+    counts as evaluated, and is its own TEQ without recursion.
 
-    Without ``shared`` the memo is fresh and lives as long as ``solve``.
     ``shared = (memo, pairs, bits)`` instead names a caller-owned memo that
     outlives one tournament: the tournaments are ``masks_from_bits(n,
-    bits)`` for one n, ``pairs`` is ``core.pair_positions(n)``, and the key
-    of top cycle K is K plus ``bits & pairs[K]``, which fixes the
-    tournament restricted to K.  That is sound because TEQ(K) depends on
-    nothing else: every ``cols`` read inside ``solve`` is masked by the
-    queried set or a subset of it, the recursion below K queries subsets
-    of K only, and the shrink to K happens before the lookup.  Every key
-    is a proper subset of the n alternatives, so a memo holds at most
+    bits)`` for one n and ``pairs`` is ``core.pair_positions(n)``.  The key
+    of a queried set X is X plus ``bits & pairs[X]``, which fixes the
+    tournament restricted to X, and it is looked up before the dominator
+    scan and the shrink to the top cycle; only a miss shrinks and recurses,
+    so ``stats[1]`` counts the missed keys.  That is sound because TEQ(X)
+    depends on nothing else: every ``cols`` read inside ``solve`` is masked
+    by X or a subset of it, and the recursion below X queries subsets of X
+    only.  Every queried set ``cols[a] & tc`` leaves out a, so every key is
+    a proper subset of the n alternatives and a memo holds at most
     sum over 1 <= k < n of C(n, k) * 2^C(k, 2) entries: 7,300 at n = 6
     and 253,449 at n = 7.
     """
@@ -230,12 +232,18 @@ def _exact_solver(cols: Sequence[int], stats: list[int], shared: Shared | None =
 
     def solve(mask: int) -> int:
         stats[0] += 1
+        if shared is not None:
+            key = mask | (bits & pairs[mask]) << n
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
         best, seed = _fewest_dominators(cols, mask)
         tc = back_masks(seed, mask, cols)
-        key = tc if shared is None else tc | (bits & pairs[tc]) << n
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        if shared is None:
+            key = tc
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
         stats[1] += 1
         if best == 0:
             res = seed  # a Condorcet winner: nothing to recurse into
@@ -265,8 +273,9 @@ def teq_exact_masks(
     ``calls`` counts solver entries on nonempty sets, cache hits included;
     ``subsets`` counts sets evaluated: the carrier and each distinct top
     cycle, singletons included.  With ``shared`` (see ``_exact_solver``),
-    nested top cycles are looked up in a memo that earlier tournaments
-    filled, so ``calls`` and ``subsets`` count this call's share only.
+    nested sets are looked up as queried in a memo that earlier
+    tournaments filled, ``subsets`` counts the carrier and the missed
+    keys, and both counts are this call's share only.
     """
     n = len(cols)
     if x_mask == 0:
@@ -371,8 +380,13 @@ def banks_member_masks(
     given the row and column masks; ``a`` must be in the carrier.
 
     Depth-first search over dominance-decreasing chains headed by ``a``;
-    succeeds on the first chain no outside alternative dominates entirely."""
+    succeeds on the first chain no outside alternative dominates entirely.
+    Candidates are tried with the most wins in the pool first, then the
+    lowest index, sorted as one integer each: ``u - (wins << w)``, where
+    every index u fits in the low w bits."""
     chain = [a]
+    w = len(rows).bit_length()
+    low_bits = (1 << w) - 1
 
     def dfs(pool: int, doms: int) -> bool:
         if doms == 0:
@@ -384,8 +398,15 @@ def banks_member_masks(
             if pool & cols[v] == 0:
                 # v dominates the chain and everything that could extend it
                 return False
-        cands = sorted(_mask_iter(pool), key=lambda u: (-(rows[u] & pool).bit_count(), u))
-        for u in cands:
+        keys = []
+        m = pool
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            keys.append(u - ((rows[u] & pool).bit_count() << w))
+        keys.sort()
+        for key in keys:
+            u = key & low_bits
             chain.append(u)
             if dfs(pool & rows[u], doms & cols[u]):
                 return True

@@ -137,6 +137,27 @@ def masks_from_bits(n: int, bits: int) -> tuple[list[int], list[int]]:
     return rows, cols
 
 
+def masks_in_bit_order(n: int, lo: int, hi: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield ``masks_from_bits(n, bits)`` for ``bits = lo..hi-1`` in turn.
+
+    The same two lists are yielded every time and updated in place: each
+    step flips the pairs whose bits changed, ``bits ^ (bits - 1)``, so a
+    caller that keeps masks past the next step must copy them.
+    """
+    if lo >= hi:
+        return
+    flips = [(i, j, 1 << i, 1 << j) for i, j in combinations(range(n), 2)]
+    rows, cols = masks_from_bits(n, lo)
+    yield rows, cols
+    for bits in range(lo + 1, hi):
+        for i, j, bi, bj in flips[: (bits ^ (bits - 1)).bit_length()]:
+            rows[i] ^= bj
+            rows[j] ^= bi
+            cols[i] ^= bj
+            cols[j] ^= bi
+        yield rows, cols
+
+
 def pair_positions(n: int) -> list[int]:
     """For each set X of ``0..n-1``, the mask of the bit positions that
     ``masks_from_bits`` reads for the pairs inside X.

@@ -13,15 +13,16 @@ one memo among them: the TEQ of a set depends only on the set, so a memo
 keyed by top cycle stays valid for every query on that tournament.  An
 exhaustive sweep (``tsol.verification.sweep``) shares one exact and one
 heuristic memo among all the tournaments of one task: the TEQ of a set
-depends only on the tournament restricted to it, so each key is the set
-plus the bit pattern's bits for the pairs inside it
-(``tsol.core.pair_positions``), and one memo holds at most
-sum over 1 <= k < n of C(n, k) * 2^C(k, 2) entries (7,300 at n = 6).  The
-heuristic explores outward from the alternatives with the smallest
-dominator sets.  It returns a union of minimal TEQ-retentive sets, so it
-is exact wherever the queried set and every set it recurses into has one
-minimal retentive set (``_pykernel.teq_heuristic_masks``); sweeps check
-equality, it is never assumed.
+depends only on the tournament restricted to it, so each key is the
+queried set itself, looked up before any shrink, plus the bit pattern's
+bits for the pairs inside it (``tsol.core.pair_positions``), and one
+memo holds at most sum over 1 <= k < n of C(n, k) * 2^C(k, 2) entries
+(7,300 at n = 6).  The heuristic explores outward from the alternatives
+with the smallest dominator sets.  It returns a union of minimal
+TEQ-retentive sets, so it is exact wherever the queried set and every
+set it recurses into has one minimal retentive set
+(``_pykernel.teq_heuristic_masks``); sweeps check equality, it is never
+assumed.
 """
 
 from __future__ import annotations

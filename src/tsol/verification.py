@@ -20,7 +20,7 @@ from tsol import _pykernel
 from tsol.banks import banks_member
 from tsol.core import (
     ENUMERATION_CAP,
-    masks_from_bits,
+    masks_in_bit_order,
     pair_positions,
     random_tournament,
     set_of,
@@ -379,7 +379,8 @@ def _sweep_task(args: tuple) -> tuple[int, dict[str, int], list[str]]:
 
     An exhaustive task shares one exact and one heuristic TEQ memo among
     all its instances, keyed by each instance's bit pattern restricted to
-    the memoized set (see ``_pykernel._exact_solver``).
+    the memoized set (see ``_pykernel._exact_solver``), and steps each
+    instance's masks from the previous one's (``masks_in_bit_order``).
     """
     n, lo, hi, checks, mode, seed = args
     fail_counts = {c: 0 for c in checks}
@@ -389,9 +390,10 @@ def _sweep_task(args: tuple) -> tuple[int, dict[str, int], list[str]]:
         pairs = pair_positions(n)
         exact_memo: dict[int, int] = {}
         heuristic_memo: dict[int, int] = {}
+        masks = masks_in_bit_order(n, lo, hi)
     for i in range(lo, hi):
         if exhaustive:
-            rows, cols = masks_from_bits(n, i)
+            rows, cols = next(masks)
             failed = _instance_failures(
                 n, rows, cols, checks, (exact_memo, pairs, i), (heuristic_memo, pairs, i)
             )

@@ -34,8 +34,8 @@ MUTANTS = (
     ),
     (
         "_pykernel.py",
-        "key = tc if shared is None else tc | (bits & pairs[tc]) << n",
-        "key = tc",
+        "key = mask | (bits & pairs[mask]) << n",
+        "key = mask",
         "the exact solver's shared key drops the pair bits",
     ),
     (
@@ -100,15 +100,33 @@ MUTANTS = (
     ),
     (
         "_pykernel.py",
-        "key=lambda u: (-(rows[u] & pool).bit_count(), u)",
-        "key=lambda u: u",
+        "keys.append(u - ((rows[u] & pool).bit_count() << w))",
+        "keys.append(u)",
         "the Banks DFS tries candidates in index order",
+    ),
+    (
+        "_pykernel.py",
+        "keys.append(u - ((rows[u] & pool).bit_count() << w))",
+        "keys.append(u - (rows[u] & pool).bit_count())",
+        "the Banks DFS sort key drops the shift of the win count",
     ),
     (
         "_pykernel.py",
         "if doms == 0:",
         "if doms == 0 and pool == 0:",
         "the Banks DFS accepts maximal chains only",
+    ),
+    (
+        "core.py",
+        "            cols[i] ^= bj\n            cols[j] ^= bi\n",
+        "",
+        "the stepped masks flip rows but not cols",
+    ),
+    (
+        "core.py",
+        "flips[: (bits ^ (bits - 1)).bit_length()]",
+        "flips[1 : (bits ^ (bits - 1)).bit_length()]",
+        "the stepped masks skip the lowest changed pair",
     ),
 )
 

@@ -55,6 +55,29 @@ def top_extenders(t: Tournament, chain, universe=None) -> frozenset[int]:
     )
 
 
+def banks_chain_oracle(t: Tournament, a: int) -> tuple[int, ...] | None:
+    """The first chain headed by ``a`` that no outside alternative beats
+    entirely, in a depth-first search over sets without pruning.
+
+    A chain grows by an alternative that every chain member beats; those
+    are tried with the most wins among them first, then the lowest index.
+    None when no such chain exists, i.e. ``a`` is not a Banks winner.
+    """
+
+    def search(chain: list[int]) -> tuple[int, ...] | None:
+        if not top_extenders(t, chain):
+            return tuple(chain)
+        pool = [u for u in range(t.n) if all(t.dominates(c, u) for c in chain)]
+        wins = {u: sum(t.dominates(u, v) for v in pool) for u in pool}
+        for u in sorted(pool, key=lambda u: (-wins[u], u)):
+            found = search(chain + [u])
+            if found is not None:
+                return found
+        return None
+
+    return search([a])
+
+
 def condorcet_winner(t: Tournament, x) -> int | None:
     """The member of ``x`` that beats every other member, if there is one."""
     x = set(x)

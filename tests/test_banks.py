@@ -11,6 +11,7 @@ from tsol.core import enumerate_tournaments, random_tournament, set_of, tourname
 from tsol.reductions import banks_gadget, decision_node
 
 from oracles import (
+    banks_chain_oracle,
     banks_oracle,
     condorcet_winner,
     random_cnf,
@@ -76,6 +77,13 @@ class TestBanksMember:
         chain = banks_member(t, decision_node(layout))
         assert " ".join(t.names[i] for i in chain) == "d x1_2 x1_3 y1 x2_1 x2_2 y2 x3_2"
 
+    def test_chains_match_the_ordered_oracle(self):
+        # the same first chain, or None, for every alternative up to n = 5
+        for n in range(1, 6):
+            for t in enumerate_tournaments(n):
+                for a in range(n):
+                    assert banks_member(t, a) == banks_chain_oracle(t, a)
+
     def test_negative_index_rejected(self, fig1):
         with pytest.raises(ValueError, match="^alternative -1 out of range for 5 alternatives$"):
             banks_member(fig1, -1)
@@ -101,6 +109,10 @@ class TestBanksSet:
         for n in (1, 2, 3, 4):
             for t in enumerate_tournaments(n):
                 assert banks_set(t) == banks_oracle(t)
+
+    def test_empty_carrier_rejected(self, fig1):
+        with pytest.raises(ValueError, match="^empty carrier$"):
+            banks_set_masks(fig1.rows, fig1.cols, 0)
 
     def test_oracle_equivalence_on_subsets(self, fig1):
         for sub in ([0, 1, 2], [1, 3, 4], [0, 2, 3, 4]):

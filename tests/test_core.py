@@ -12,6 +12,7 @@ from tsol.core import (
     enumerate_tournaments,
     format_tournament,
     masks_from_bits,
+    masks_in_bit_order,
     parse_tournament,
     random_tournament,
     tournament_from_bits,
@@ -266,6 +267,18 @@ class TestEnumeration:
             t = Tournament(default_names(n), tuple(rows))  # validates the rows
             assert t.cols == tuple(cols)
             assert t.rows == tournament_from_bits(n, bits).rows
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_masks_in_bit_order_match_masks_from_bits(self, n):
+        count = 1 << n * (n - 1) // 2
+        # starts that are and are not powers of two, each run to the last pattern
+        starts = {0, 1, count // 3, count - 1, 342, 684, 1023} & set(range(count))
+        for lo in sorted(starts):
+            got = [(list(rows), list(cols)) for rows, cols in masks_in_bit_order(n, lo, count)]
+            assert got == [masks_from_bits(n, bits) for bits in range(lo, count)]
+
+    def test_masks_in_bit_order_empty_range(self):
+        assert list(masks_in_bit_order(4, 5, 5)) == []
 
     def test_cap(self):
         with pytest.raises(ValueError):

@@ -58,6 +58,10 @@ class TestTeqExact:
         t = tournament_from_bits(3, 0b101)
         assert teq_exact(t).teq_set == {0, 1, 2}
 
+    def test_empty_carrier_rejected(self, fig1):
+        with pytest.raises(ValueError, match="^empty carrier$"):
+            _pykernel.teq_exact_masks(fig1.cols, 0)
+
     def test_stats_shape(self, fig1):
         assert teq_exact(fig1).stats == TeqStats(9, 6)
         assert teq_heuristic(fig1).stats == TeqStats(4, 4, 3)
@@ -122,6 +126,10 @@ class TestTeqHeuristic:
         for n in range(1, 6):
             for t in enumerate_tournaments(n):
                 assert teq_heuristic(t).teq_set == teq_exact(t).teq_set
+
+    def test_empty_carrier_rejected(self, fig1):
+        with pytest.raises(ValueError, match="^empty carrier$"):
+            _pykernel.teq_heuristic_masks(fig1.cols, 0)
 
     @given(st.integers(1, 10), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
@@ -252,7 +260,7 @@ class TestSweepMemo:
 
     def test_a_key_without_the_pair_bits_fails(self):
         # every pair table entry 0: the memo is keyed by the set alone
-        assert self.mismatches(5, [0] * 32)[:2] == (90, 444)
+        assert self.mismatches(5, [0] * 32)[:2] == (939, 444)
 
     def test_pair_positions_fix_the_restriction(self):
         n = 5
