@@ -5,8 +5,10 @@ Entry points take the tournament as the masks they read and never derive
 one from the other: ``rows[a]`` has bit ``b`` set iff a beats b, and
 ``cols[a]`` has bit ``b`` set iff b beats a (``Tournament.rows`` and
 ``Tournament.cols``).  The TEQ kernels read only ``cols``; the Banks
-kernels read both.  Traversal orders are fixed, so results, witnesses and
-statistics are deterministic.
+kernels read both.  The TEQ and Banks entry points answer for the whole
+tournament, with n = ``len(cols)``; the closure routines take a carrier,
+since the TEQ kernels run them on nested sets.  Traversal orders are
+fixed, so results, witnesses and statistics are deterministic.
 """
 
 from __future__ import annotations
@@ -262,42 +264,33 @@ def _exact_solver(cols: Sequence[int], stats: list[int], shared: Shared | None =
 
 
 def teq_exact_masks(
-    cols: Sequence[int], x_mask: int, shared: Shared | None = None
+    cols: Sequence[int], shared: Shared | None = None
 ) -> tuple[int, list[int], int, int]:
-    """Exact recursive TEQ on the carrier ``x_mask``, given the column masks.
+    """Exact recursive TEQ of the tournament, given its column masks.
 
     Returns ``(teq_mask, in_edges, calls, subsets)`` where ``in_edges[a]``
-    is the mask of TEQ-dominators of ``a`` within the carrier.  Only nested
-    sets are shrunk to their top cycles (see ``_exact_solver``), so
-    ``in_edges`` covers the whole carrier.
+    is the mask of TEQ-dominators of ``a``.  Only nested sets are shrunk
+    to their top cycles (see ``_exact_solver``), so ``in_edges`` covers
+    every alternative.
     ``calls`` counts solver entries on nonempty sets, cache hits included;
-    ``subsets`` counts sets evaluated: the carrier and each distinct top
+    ``subsets`` counts sets evaluated: the whole set and each distinct top
     cycle, singletons included.  With ``shared`` (see ``_exact_solver``),
     nested sets are looked up as queried in a memo that earlier
-    tournaments filled, ``subsets`` counts the carrier and the missed
+    tournaments filled, ``subsets`` counts the whole set and the missed
     keys, and both counts are this call's share only.
     """
-    n = len(cols)
-    if x_mask == 0:
-        raise ValueError("empty carrier")
-    stats = [1, 1]  # calls, subsets; the carrier counts once in each
+    stats = [1, 1]  # calls, subsets; the whole set counts once in each
     solve = _exact_solver(cols, stats, shared)
-    in_edges = [0] * n
-    m = x_mask
-    while m:
-        a = (m & -m).bit_length() - 1
-        m &= m - 1
-        sub = cols[a] & x_mask
-        in_edges[a] = solve(sub) if sub else 0
-    teq = top_cycle_masks(x_mask, in_edges)
+    in_edges = [solve(c) if c else 0 for c in cols]
+    teq = top_cycle_masks((1 << len(cols)) - 1, in_edges)
     return teq, in_edges, stats[0], stats[1]
 
 
 def teq_heuristic_masks(
-    cols: Sequence[int], x_mask: int, shared: Shared | None = None
+    cols: Sequence[int], shared: Shared | None = None
 ) -> tuple[int, int, list[int], int, int, int]:
     """Iterative-deepening TEQ heuristic seeded with minimal dominator sets,
-    given the column masks.
+    given the tournament's column masks.
 
     Returns ``(teq_mask, base_mask, in_edges, calls, subsets, iterations)``
     where ``base_mask`` is the explored base set and ``iterations`` the
@@ -317,13 +310,11 @@ def teq_heuristic_masks(
     The same bound holds.
     """
     n = len(cols)
-    if x_mask == 0:
-        raise ValueError("empty carrier")
     if shared is None:
         memo: dict[int, int] = {}
     else:
         memo, pairs, bits = shared
-    stats = [1, 1]  # calls, computed; the carrier counts once in each
+    stats = [1, 1]  # calls, computed; the whole set counts once in each
 
     def explore(mask: int) -> tuple[int, int, list[int], int]:
         """One heuristic pass: ``(teq, base, in_edges, iterations)``."""
@@ -360,7 +351,7 @@ def teq_heuristic_masks(
             hit = memo[key] = explore(mask)[0]
         return hit
 
-    teq, base, in_edges, iterations = explore(x_mask)
+    teq, base, in_edges, iterations = explore((1 << n) - 1)
     return teq, base, in_edges, stats[0], stats[1], iterations
 
 
@@ -374,10 +365,10 @@ def _mask_iter(mask: int):
 
 
 def banks_member_masks(
-    rows: Sequence[int], cols: Sequence[int], x_mask: int, a: int
+    rows: Sequence[int], cols: Sequence[int], a: int
 ) -> tuple[int, ...] | None:
-    """Chain witness for Banks membership of ``a`` within the carrier,
-    given the row and column masks; ``a`` must be in the carrier.
+    """Chain witness for Banks membership of ``a`` in the tournament,
+    given its row and column masks.
 
     Depth-first search over dominance-decreasing chains headed by ``a``;
     succeeds on the first chain no outside alternative dominates entirely.
@@ -413,21 +404,15 @@ def banks_member_masks(
             chain.pop()
         return False
 
-    if dfs(rows[a] & x_mask, cols[a] & x_mask):
+    if dfs(rows[a], cols[a]):
         return tuple(chain)
     return None
 
 
-def banks_set_masks(rows: Sequence[int], cols: Sequence[int], x_mask: int) -> int:
-    """Banks set of the carrier, given the row and column masks."""
-    if x_mask == 0:
-        raise ValueError("empty carrier")
+def banks_set_masks(rows: Sequence[int], cols: Sequence[int]) -> int:
+    """Banks set of the tournament, given its row and column masks."""
     res = 0
-    m = x_mask
-    while m:
-        low = m & -m
-        a = low.bit_length() - 1
-        m &= m - 1
-        if banks_member_masks(rows, cols, x_mask, a) is not None:
-            res |= low
+    for a in range(len(rows)):
+        if banks_member_masks(rows, cols, a) is not None:
+            res |= 1 << a
     return res

@@ -18,9 +18,9 @@ def banks_member(t: Tournament, a: int) -> tuple[int, ...] | None:
     """Witness chain iff ``a`` is in the Banks set of ``t``."""
     if not 0 <= a < t.n:
         raise ValueError(f"alternative {a} out of range for {t.n} alternatives")
-    return _pykernel.banks_member_masks(t.rows, t.cols, t.full_mask, a)
+    return _pykernel.banks_member_masks(t.rows, t.cols, a)
 
 
 def banks_set(t: Tournament) -> frozenset[int]:
     """Maxima of the inclusion-maximal transitive subsets of ``t``."""
-    return set_of(_pykernel.banks_set_masks(t.rows, t.cols, t.full_mask))
+    return set_of(_pykernel.banks_set_masks(t.rows, t.cols))

@@ -246,9 +246,9 @@ def _bench_rows(sizes, samples, seed):
             for t in ts:
                 t0 = time.perf_counter()
                 if method == "teq-exact":
-                    ncalls = _pykernel.teq_exact_masks(t.cols, t.full_mask)[2]
+                    ncalls = _pykernel.teq_exact_masks(t.cols)[2]
                 else:
-                    ncalls = _pykernel.teq_heuristic_masks(t.cols, t.full_mask)[3]
+                    ncalls = _pykernel.teq_heuristic_masks(t.cols)[3]
                 millis.append((time.perf_counter() - t0) * 1000.0)
                 calls.append(ncalls)
             rows.append(

@@ -197,7 +197,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     return Tournament(default_names(n), tuple(rows))
 
 
-# --- text and DOT formats ---------------------------------------------------
+# --- text format --------------------------------------------------------------
 
 
 def format_tournament(t: Tournament) -> str:

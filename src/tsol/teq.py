@@ -64,7 +64,7 @@ class TeqResult:
 
 def teq_exact(t: Tournament) -> TeqResult:
     """Exact TEQ of ``t``; the result's carrier is every alternative."""
-    teq_mask, in_edges, calls, subsets = _pykernel.teq_exact_masks(t.cols, t.full_mask)
+    teq_mask, in_edges, calls, subsets = _pykernel.teq_exact_masks(t.cols)
     return TeqResult(
         teq_set=set_of(teq_mask),
         carrier=frozenset(range(t.n)),
@@ -98,7 +98,7 @@ def teq_heuristic(t: Tournament) -> TeqResult:
     reported TEQ set.
     """
     teq_mask, base_mask, in_edges, calls, subsets, iterations = (
-        _pykernel.teq_heuristic_masks(t.cols, t.full_mask)
+        _pykernel.teq_heuristic_masks(t.cols)
     )
     return TeqResult(
         teq_set=set_of(teq_mask),

@@ -344,13 +344,12 @@ def _instance_failures(
     compared only when a Condorcet winner exists.  ``exact_shared`` and
     ``heuristic_shared`` go to the two TEQ kernels as their ``shared``.
     """
-    full = (1 << n) - 1
-    teq_mask, in_edges, _, _ = _pykernel.teq_exact_masks(cols, full, exact_shared)
+    teq_mask, in_edges, _, _ = _pykernel.teq_exact_masks(cols, exact_shared)
     failed = []
     if "nonempty" in checks and teq_mask == 0:
         failed.append("nonempty")
     if "teq-in-banks" in checks and any(
-        _pykernel.banks_member_masks(rows, cols, full, a) is None
+        _pykernel.banks_member_masks(rows, cols, a) is None
         for a in _pykernel._mask_iter(teq_mask)
     ):
         failed.append("teq-in-banks")
@@ -358,10 +357,10 @@ def _instance_failures(
         winner = next((a for a in range(n) if cols[a] == 0), None)
         if winner is not None:
             want = 1 << winner
-            if teq_mask != want or _pykernel.banks_set_masks(rows, cols, full) != want:
+            if teq_mask != want or _pykernel.banks_set_masks(rows, cols) != want:
                 failed.append("condorcet")
     if "heuristic-eq" in checks:
-        h_mask = _pykernel.teq_heuristic_masks(cols, full, heuristic_shared)[0]
+        h_mask = _pykernel.teq_heuristic_masks(cols, heuristic_shared)[0]
         if h_mask != teq_mask:
             failed.append("heuristic-eq")
     if "single-scc" in checks:

@@ -100,6 +100,18 @@ MUTANTS = (
     ),
     (
         "_pykernel.py",
+        "in_edges = [solve(c) if c else 0 for c in cols]",
+        "in_edges = [solve(c) if c else 0 for c in cols[:-1]]",
+        "teq_exact_masks skips the last column",
+    ),
+    (
+        "_pykernel.py",
+        "for a in range(len(rows)):",
+        "for a in range(1, len(rows)):",
+        "banks_set_masks starts at index 1",
+    ),
+    (
+        "_pykernel.py",
         "keys.append(u - ((rows[u] & pool).bit_count() << w))",
         "keys.append(u)",
         "the Banks DFS tries candidates in index order",

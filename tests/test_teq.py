@@ -58,10 +58,6 @@ class TestTeqExact:
         t = tournament_from_bits(3, 0b101)
         assert teq_exact(t).teq_set == {0, 1, 2}
 
-    def test_empty_carrier_rejected(self, fig1):
-        with pytest.raises(ValueError, match="^empty carrier$"):
-            _pykernel.teq_exact_masks(fig1.cols, 0)
-
     def test_stats_shape(self, fig1):
         assert teq_exact(fig1).stats == TeqStats(9, 6)
         assert teq_heuristic(fig1).stats == TeqStats(4, 4, 3)
@@ -126,10 +122,6 @@ class TestTeqHeuristic:
         for n in range(1, 6):
             for t in enumerate_tournaments(n):
                 assert teq_heuristic(t).teq_set == teq_exact(t).teq_set
-
-    def test_empty_carrier_rejected(self, fig1):
-        with pytest.raises(ValueError, match="^empty carrier$"):
-            _pykernel.teq_heuristic_masks(fig1.cols, 0)
 
     @given(st.integers(1, 10), st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
@@ -225,7 +217,9 @@ class TestSharedSolver:
         rng = Random(11)
         for _ in range(40):
             mask = rng.getrandbits(t.n) or 1
-            assert teq_of(mask) == _pykernel.teq_exact_masks(t.cols, mask)[0]
+            sub = restrict(t, [i for i in range(t.n) if mask >> i & 1])
+            want = names(sub, teq_exact(sub).teq_set)
+            assert names(t, set_of(teq_of(mask))) == want
 
 
 class TestSweepMemo:
@@ -236,16 +230,15 @@ class TestSweepMemo:
     def mismatches(n, pairs):
         """Instances whose shared-memo tuples differ from fresh calls (apart
         from ``calls`` and ``subsets``), and the two memos' sizes."""
-        full = (1 << n) - 1
         exact_memo, heuristic_memo = {}, {}
         bad_exact = bad_heuristic = 0
         for bits in range(1 << comb(n, 2)):
             _, cols = masks_from_bits(n, bits)
-            fresh = _pykernel.teq_exact_masks(cols, full)
-            shared = _pykernel.teq_exact_masks(cols, full, (exact_memo, pairs, bits))
+            fresh = _pykernel.teq_exact_masks(cols)
+            shared = _pykernel.teq_exact_masks(cols, (exact_memo, pairs, bits))
             bad_exact += fresh[:2] != shared[:2]
-            fresh = _pykernel.teq_heuristic_masks(cols, full)
-            shared = _pykernel.teq_heuristic_masks(cols, full, (heuristic_memo, pairs, bits))
+            fresh = _pykernel.teq_heuristic_masks(cols)
+            shared = _pykernel.teq_heuristic_masks(cols, (heuristic_memo, pairs, bits))
             bad_heuristic += (fresh[:3], fresh[5]) != (shared[:3], shared[5])
         return bad_exact, bad_heuristic, len(exact_memo), len(heuristic_memo)
 

@@ -17,4 +17,6 @@ def test_tracer_counts_one_exact_kernel_call(fig1):
     with tracer:
         tsol.teq.teq_exact(fig1)
     assert tracer.calls["kernel.teq_exact"] == 1
-    assert tracer.teq_subsets > 0
+    # TeqStats(9, 6) on fig1: the tracer reads calls and subsets from the
+    # kernel's result tuple by position
+    assert (tracer.teq_calls, tracer.teq_subsets) == (9, 6)

@@ -417,8 +417,8 @@ class TestSweep:
     def test_checks_catch_a_teq_that_is_the_carrier(self, monkeypatch):
         exact = _pykernel.teq_exact_masks
 
-        def carrier(cols, x_mask, shared=None):
-            return (x_mask, *exact(cols, x_mask, shared)[1:])
+        def carrier(cols, shared=None):
+            return ((1 << len(cols)) - 1, *exact(cols, shared)[1:])
 
         monkeypatch.setattr(_pykernel, "teq_exact_masks", carrier)
         # condorcet, heuristic-eq, nonempty, single-scc, teq-in-banks
@@ -431,8 +431,8 @@ class TestSweep:
     def test_checks_catch_an_empty_teq(self, monkeypatch):
         exact = _pykernel.teq_exact_masks
 
-        def empty(cols, x_mask, shared=None):
-            return (0, *exact(cols, x_mask, shared)[1:])
+        def empty(cols, shared=None):
+            return (0, *exact(cols, shared)[1:])
 
         monkeypatch.setattr(_pykernel, "teq_exact_masks", empty)
         assert self.fail_counts(sweep([4])) == (32, 64, 64, 64, 0)
