@@ -294,15 +294,17 @@ def teq_heuristic_masks(
 
     Returns ``(teq_mask, base_mask, in_edges, calls, subsets, iterations)``
     where ``base_mask`` is the explored base set and ``iterations`` the
-    outer loop count of the top-level procedure.
+    number of expansion rounds of the top-level pass.
 
-    Soundness: when ``explore`` stops, every member a of the base B has
-    been expanded and TEQ(D(a)) <= B, so B is TEQ-retentive if the
-    nested answers are exact.  A source component C of the relation on B
-    is then retentive, and no proper subset of C is, since C is strongly
-    connected: C is a minimal TEQ-retentive set of X.  TEQ(X) is the union
-    of all of them, so the heuristic is exact wherever the queried set,
-    and every set it recurses into, has one minimal retentive set.
+    Soundness: each round of ``explore`` expands a to TEQ(D(a)) for the
+    members a that the round before added to the base B (first the seed),
+    and it stops when a round adds none, so each member a of B is expanded
+    once and TEQ(D(a)) <= B: B is TEQ-retentive if nested answers are exact.
+    A source component C of the relation on B is then retentive, and no
+    proper subset of C is, since C is strongly connected: C is a minimal
+    TEQ-retentive set of X.  TEQ(X) is the union of all of them, so the
+    heuristic is exact wherever the queried set, and every set it recurses
+    into, has one minimal retentive set.
 
     Nested sets are memoized by their raw mask; ``shared`` adds the pair
     bits to the key as in ``_exact_solver``, which is sound for the same
@@ -318,27 +320,23 @@ def teq_heuristic_masks(
 
     def explore(mask: int) -> tuple[int, int, list[int], int]:
         """One heuristic pass: ``(teq, base, in_edges, iterations)``."""
-        best, seed = _fewest_dominators(cols, mask)
+        base = cur = _fewest_dominators(cols, mask)[1]
         in_edges = [0] * n
-        if best == 0:
-            return seed, seed, in_edges, 1  # a Condorcet winner: what one pass below returns
-        base = seed
-        cur = seed
         iterations = 0
-        while True:
+        while cur:
             iterations += 1
             found = 0
             m = cur
             while m:
                 a = (m & -m).bit_length() - 1
                 m &= m - 1
-                ta = teq_of(cols[a] & mask)
-                in_edges[a] |= ta
-                found |= ta
-            if found & ~base == 0:
-                return top_cycle_masks(base, in_edges), base, in_edges, iterations
-            cur = found
-            base |= found
+                in_edges[a] = teq_of(cols[a] & mask)
+                found |= in_edges[a]
+            cur = found & ~base
+            base |= cur
+        # one member (a Condorcet winner, most nested sets) is its own top cycle
+        teq = top_cycle_masks(base, in_edges) if base & (base - 1) else base
+        return teq, base, in_edges, iterations
 
     def teq_of(mask: int) -> int:
         if not mask:

@@ -58,9 +58,51 @@ MUTANTS = (
     ),
     (
         "_pykernel.py",
-        "if found & ~base == 0:",
-        "if found & ~cur == 0:",
-        "the heuristic stops on found & ~cur (loops forever)",
+        "base = cur = _fewest_dominators(cols, mask)[1]",
+        "base = cur = mask & -mask",
+        "the heuristic seeds from the lowest member only",
+    ),
+    (
+        "_pykernel.py",
+        "        while cur:\n            iterations += 1",
+        "        if cur:\n            iterations += 1",
+        "the heuristic stops after one round",
+    ),
+    (
+        "_pykernel.py",
+        "in_edges[a] = teq_of(cols[a] & mask)",
+        "in_edges[a] = teq_of(cols[a] & base)",
+        "the heuristic expands within its base, not the explored set",
+    ),
+    (
+        "_pykernel.py",
+        "found |= in_edges[a]",
+        "found = in_edges[a]",
+        "the heuristic keeps only a round's last expansion",
+    ),
+    (
+        "_pykernel.py",
+        "cur = found & ~base",
+        "cur = found",
+        "the heuristic re-expands its whole round (loops forever)",
+    ),
+    (
+        "_pykernel.py",
+        "base |= cur",
+        "base = cur",
+        "the heuristic base keeps only the last round's additions",
+    ),
+    (
+        "_pykernel.py",
+        "teq = top_cycle_masks(base, in_edges) if base & (base - 1) else base",
+        "teq = base",
+        "the heuristic returns its base as TEQ",
+    ),
+    (
+        "_pykernel.py",
+        "if base & (base - 1) else base",
+        "if base & (base - 1) else 0",
+        "a one-member heuristic base gives an empty TEQ",
     ),
     (
         "_pykernel.py",

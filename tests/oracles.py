@@ -168,6 +168,43 @@ def teq_oracle(t: Tournament) -> tuple[frozenset[int], frozenset[tuple[int, int]
     return source_components(x, pairs), frozenset(pairs)
 
 
+def heuristic_oracle(
+    t: Tournament,
+) -> tuple[frozenset[int], frozenset[int], frozenset[tuple[int, int]], int]:
+    """The minimal-dominator heuristic by its definition, over frozensets.
+
+    For a set X: the seed is the members of X with the fewest dominators in
+    X; the base B is the closure of the seed under a -> H(D_X(a)), reached
+    by adding H(D_X(a)) for every a already in B until a round adds
+    nothing; H(X) is the union of the source components of b => a iff b is
+    in H(D_X(a)), on B, and H of the empty set is empty.  Returns H, B, the
+    pairs (b, a) of the relation on B and the number of rounds for all of
+    ``t``; every H is memoized by frozenset.
+    """
+    memo: dict[frozenset[int], frozenset[int]] = {frozenset(): frozenset()}
+
+    def walk(x: frozenset[int]):
+        doms = {a: frozenset(d for d in x if t.dominates(d, a)) for a in x}
+        fewest = min(len(d) for d in doms.values())
+        base = frozenset(a for a in x if len(doms[a]) == fewest)
+        rounds = 0
+        while True:
+            rounds += 1
+            grown = base.union(*(heuristic(doms[a]) for a in base))
+            if grown == base:
+                break
+            base = grown
+        pairs = frozenset((b, a) for a in base for b in heuristic(doms[a]))
+        return source_components(base, pairs), base, pairs, rounds
+
+    def heuristic(x: frozenset[int]) -> frozenset[int]:
+        if x not in memo:
+            memo[x] = walk(x)[0]
+        return memo[x]
+
+    return walk(frozenset(range(t.n)))
+
+
 def reachability_oracle(layout: GadgetLayout, b) -> tuple[str, ...]:
     """Names of the non-chain members of ``b``, in index order, that no path
     of TEQ-relation edges within ``b`` reaches from a chain node in ``b``.
