@@ -87,8 +87,11 @@ def top_cycle_masks(carrier: int, in_edges) -> int:
     """Union of the source components of the condensation.
 
     ``in_edges[a]`` holds the mask of b with an edge b -> a; works with a
-    list indexed by alternative or a dict.
+    list indexed by alternative or a dict.  Its callers pass TEQ relations;
+    a carrier of at most one member is returned as it is.
     """
+    if not carrier & (carrier - 1):
+        return carrier
     comp, ncomp = _tarjan(carrier, in_edges)
     incoming = [False] * ncomp
     m = carrier
@@ -170,9 +173,9 @@ def scc_count_masks(carrier: int, in_edges) -> int:
 # --- tournament equilibrium set ----------------------------------------------
 
 
-def _fewest_dominators(cols: Sequence[int], mask: int) -> tuple[int, int]:
-    """``(k, seed)``: the fewest dominators k that a member of ``mask`` has
-    within it, and the mask of the members with exactly k."""
+def _fewest_dominators(cols: Sequence[int], mask: int) -> int:
+    """The mask of the members of ``mask`` with the fewest dominators
+    within it."""
     best = -1
     seed = 0
     m = mask
@@ -185,7 +188,7 @@ def _fewest_dominators(cols: Sequence[int], mask: int) -> tuple[int, int]:
             seed = low
         elif k == best:
             seed |= low
-    return best, seed
+    return seed
 
 
 def _exact_solver(cols: Sequence[int], stats: list[int], shared: Shared | None = None):
@@ -206,11 +209,11 @@ def _exact_solver(cols: Sequence[int], stats: list[int], shared: Shared | None =
     that tie set under "add every dominator within the mask", the
     backward closure ``back_masks`` under the ``cols`` edges.
 
-    ``stats[0]`` counts entries (cache hits included) and ``stats[1]`` the
-    sets evaluated, that is the cache misses.  Without ``shared`` the memo
-    is fresh, lives as long as ``solve`` and is keyed by top cycle; a
-    singleton one (a Condorcet winner) goes through it like any other,
-    counts as evaluated, and is its own TEQ without recursion.
+    ``solve(0)`` is 0 and counts nothing; ``stats[0]`` counts the other
+    entries (cache hits included), ``stats[1]`` the sets evaluated (cache
+    misses).  Without ``shared`` the memo is fresh, lives as long as
+    ``solve`` and is keyed by top cycle.  A singleton one (a Condorcet
+    winner) counts as evaluated; ``top_cycle_masks`` returns it as it is.
 
     ``shared = (memo, pairs, bits)`` instead names a caller-owned memo that
     outlives one tournament: the tournaments are ``masks_from_bits(n,
@@ -233,31 +236,28 @@ def _exact_solver(cols: Sequence[int], stats: list[int], shared: Shared | None =
         n = len(cols)
 
     def solve(mask: int) -> int:
+        if not mask:
+            return 0
         stats[0] += 1
         if shared is not None:
             key = mask | (bits & pairs[mask]) << n
             hit = memo.get(key)
             if hit is not None:
                 return hit
-        best, seed = _fewest_dominators(cols, mask)
-        tc = back_masks(seed, mask, cols)
+        tc = back_masks(_fewest_dominators(cols, mask), mask, cols)
         if shared is None:
             key = tc
             hit = memo.get(key)
             if hit is not None:
                 return hit
         stats[1] += 1
-        if best == 0:
-            res = seed  # a Condorcet winner: nothing to recurse into
-        else:
-            in_e: dict[int, int] = {}
-            m = tc
-            while m:
-                a = (m & -m).bit_length() - 1
-                m &= m - 1
-                in_e[a] = solve(cols[a] & tc)  # nonempty: TC is strongly connected
-            res = top_cycle_masks(tc, in_e)
-        memo[key] = res
+        in_e: dict[int, int] = {}
+        m = tc
+        while m:
+            a = (m & -m).bit_length() - 1
+            m &= m - 1
+            in_e[a] = solve(cols[a] & tc)
+        res = memo[key] = top_cycle_masks(tc, in_e)
         return res
 
     return solve
@@ -281,7 +281,7 @@ def teq_exact_masks(
     """
     stats = [1, 1]  # calls, subsets; the whole set counts once in each
     solve = _exact_solver(cols, stats, shared)
-    in_edges = [solve(c) if c else 0 for c in cols]
+    in_edges = [solve(c) for c in cols]
     teq = top_cycle_masks((1 << len(cols)) - 1, in_edges)
     return teq, in_edges, stats[0], stats[1]
 
@@ -320,7 +320,7 @@ def teq_heuristic_masks(
 
     def explore(mask: int) -> tuple[int, int, list[int], int]:
         """One heuristic pass: ``(teq, base, in_edges, iterations)``."""
-        base = cur = _fewest_dominators(cols, mask)[1]
+        base = cur = _fewest_dominators(cols, mask)
         in_edges = [0] * n
         iterations = 0
         while cur:
@@ -334,9 +334,7 @@ def teq_heuristic_masks(
                 found |= in_edges[a]
             cur = found & ~base
             base |= cur
-        # one member (a Condorcet winner, most nested sets) is its own top cycle
-        teq = top_cycle_masks(base, in_edges) if base & (base - 1) else base
-        return teq, base, in_edges, iterations
+        return top_cycle_masks(base, in_edges), base, in_edges, iterations
 
     def teq_of(mask: int) -> int:
         if not mask:

@@ -134,7 +134,8 @@ def _solve_text(t: Tournament, args) -> str:
             if member:
                 out.append(_relation_path(t, teq_mask, in_edges, a) + "\n")
         else:
-            tc = _pykernel.top_cycle_masks(t.full_mask, t.cols)
+            seed = _pykernel._fewest_dominators(t.cols, t.full_mask)
+            tc = _pykernel.back_masks(seed, t.full_mask, t.cols)
             out.append("true\n" if tc >> a & 1 else "false\n")
     else:
         if method == "banks":
@@ -142,7 +143,8 @@ def _solve_text(t: Tournament, args) -> str:
         elif method in ("teq-exact", "teq-heuristic"):
             chosen = set_of(_teq_masks(t, method, teq_of)[0])
         else:
-            chosen = set_of(_pykernel.top_cycle_masks(t.full_mask, t.cols))
+            seed = _pykernel._fewest_dominators(t.cols, t.full_mask)
+            chosen = set_of(_pykernel.back_masks(seed, t.full_mask, t.cols))
         out.append(_solution_line(t, chosen))
     if teq_of is not None:
         out.append(teq_trace(t, depth_limit=args.trace, teq_of=teq_of))

@@ -1,11 +1,17 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from tsol.core import parse_tournament
 from tsol.reductions import cnf
 
 DATA = Path(__file__).parent / "data"
+
+# the mutation gate (tests/mutants.py) selects this profile: no example
+# database and a fixed seed, so a mutant's verdict does not depend on
+# earlier runs
+settings.register_profile("mutants", database=None, derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,14 @@ from tsol.core import (
 )
 from tsol.verification import SweepReport
 
-from oracles import format_dimacs, nine_clauses, random_cnf, shortest_cycle_length, teq_oracle
+from oracles import (
+    format_dimacs,
+    nine_clauses,
+    random_cnf,
+    shortest_cycle_length,
+    source_components,
+    teq_oracle,
+)
 
 
 @pytest.fixture
@@ -60,9 +67,23 @@ class TestSolve:
         code, out, _ = run(capsys, ["solve", "--input", fig1_file, "--method", "teq-heuristic"])
         assert (code, out) == (0, "a b c\n")
 
-    def test_topcycle(self, capsys, fig1_file):
+    def test_topcycle(self, capsys, tmp_path, fig1_file):
         code, out, _ = run(capsys, ["solve", "--input", fig1_file, "--method", "topcycle"])
         assert (code, out) == (0, "a b c d e\n")
+        # the set line and --member for every alternative, against the source
+        # components of the dominance pairs
+        tournaments = [t for n in range(1, 6) for t in enumerate_tournaments(n)]
+        tournaments += [random_tournament(n, seed) for n in range(6, 13) for seed in range(30)]
+        path = tmp_path / "t.txt"
+        argv = ["solve", "--input", str(path), "--method", "topcycle"]
+        for t in tournaments:
+            pairs = {(b, a) for b in range(t.n) for a in range(t.n) if t.dominates(b, a)}
+            tc = source_components(frozenset(range(t.n)), pairs)
+            path.write_text(format_tournament(t))
+            assert run(capsys, argv) == (0, " ".join(sorted(t.names[a] for a in tc)) + "\n", "")
+            for a in range(t.n):
+                want = "true\n" if a in tc else "false\n"
+                assert run(capsys, argv + ["--member", t.names[a]]) == (0, want, "")
 
     @pytest.mark.parametrize("member, answer", [("a", "true"), ("b", "false")])
     def test_topcycle_member(self, capsys, data_dir, member, answer):
